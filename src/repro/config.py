@@ -4,7 +4,7 @@
 experimental grid. Defaults are the paper's bold defaults; sweeps vary one
 field at a time (``replace(cfg, alpha=0.8)``).
 """
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: Paper Table 5 — the full sweep grid (bold default first in DESIGN.md text).
 PARAM_GRID = {
@@ -49,7 +49,7 @@ class TERConfig:
     # ~9.5% and pair-level topic pruning at ~82% — the paper's Fig.-4 regime
     # (77.5%-86.5%).
     n_topic_keywords: int = 10
-    grid_cells_per_dim: int = 5     # ER-grid / DR-index cells per attribute
+    grid_cells_per_dim: int = 5     # ER-grid cells per attribute
     n_aux_pivots: int = 1           # auxiliary pivots per attribute (>= 0)
     pivot_buckets: int = 10         # P in Eq. (5) entropy
     pivot_emin: float = 1.5         # eMin in Appendix B

@@ -3,8 +3,9 @@
 Per micro-batch, incomplete tuples are joined with:
 1. the **CDD-index** rule table (broadcast) on the missing attribute — the
    paper's "obtain suitable CDD rules";
-2. the **DR-index** bucket postings (triangle-inequality bucket range on the
-   primary determinant) to retrieve candidate samples ``s in R`` — exact
+2. the **DR-index** token postings of the primary determinant (a sample
+   within Jaccard distance ``hi < 1`` shares a token with the probe value)
+   to retrieve candidate samples ``s in R`` — exact
    determinant constraints are then checked with Catalyst array expressions
    (false positives removed; the unindexed baselines use a cross join here);
 3. the ``dom_pairs`` table on the sample's dependent value — the Section-3
@@ -22,7 +23,7 @@ tuple in the current *window* (no repository access).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
@@ -31,9 +32,9 @@ from pyspark.sql.window import Window
 
 from repro.core.instances import ImputedTuple, build_imputed_tuple, cap_instances
 from repro.core.pivot import AttributePivots
-from repro.core.similarity import jaccard_col, jaccard_dist_col, tokens_col
+from repro.core.similarity import jaccard_col, tokens_col
 from repro.index.cdd_index import CDDIndex
-from repro.index.dr_index import DRIndex, _pivot_lit
+from repro.index.dr_index import DRIndex
 from repro.streams.stream_gen import ATTR_COLS, D
 
 
@@ -55,21 +56,12 @@ def _pick(attr_col: Column, cols: list[Column]) -> Column:
     return expr
 
 
-def _batch_features(
-    spark: SparkSession, batch: pd.DataFrame, pivots: dict[int, AttributePivots]
-) -> DataFrame:
-    """Tokenize a micro-batch and pivot-convert every (present) attribute."""
+def _batch_features(spark: SparkSession, batch: pd.DataFrame) -> DataFrame:
+    """Tokenize every attribute of a micro-batch."""
     sdf = spark.createDataFrame(batch[["rid"] + ATTR_COLS])
-    cols = [F.col("rid")]
-    for k, c in enumerate(ATTR_COLS):
-        cols.append(tokens_col(F.col(c)).alias(f"bt{k}"))
-    sdf = sdf.select(*cols)
-    for k in range(D):
-        sdf = sdf.withColumn(
-            f"bpd{k}",
-            jaccard_dist_col(F.col(f"bt{k}"), _pivot_lit(pivots[k].main_tokens)),
-        )
-    return sdf
+    return sdf.select(
+        "rid", *[tokens_col(F.col(c)).alias(f"bt{k}") for k, c in enumerate(ATTR_COLS)]
+    )
 
 
 def retrieve_samples(
@@ -78,20 +70,18 @@ def retrieve_samples(
     need: pd.DataFrame,
     dr: DRIndex,
     cddx: CDDIndex,
-    pivots: dict[int, AttributePivots],
     *,
     indexed: bool,
 ) -> DataFrame:
     """(rid, j, rule_id, sid, dep value) triples: which repository samples
     each rule suggests for each missing attribute. The index join vs the
     straightforward cross join is the TER-iDS vs CDD+ER distinction."""
-    feats = _batch_features(spark, batch, pivots)
+    feats = _batch_features(spark, batch)
     need_sdf = spark.createDataFrame(need)  # rid, j
     probe = need_sdf.join(feats, "rid").join(
         F.broadcast(cddx.rules_df), F.col("j") == F.col("dep")
     )
     bt = [F.col(f"bt{k}") for k in range(D)]
-    bpd = [F.col(f"bpd{k}") for k in range(D)]
     # Determinants must be present on the incomplete tuple (paper: "attributes
     # in X_i are non-missing").
     probe = probe.where(F.size(_pick(F.col("x1"), bt)) > 0)
@@ -261,7 +251,7 @@ def impute_batch(
     need = pd.DataFrame(need_rows, columns=["rid", "j"])
     t0 = time.perf_counter()
     samples = retrieve_samples(
-        spark, batch, need, dr, cddx, pivots, indexed=indexed
+        spark, batch, need, dr, cddx, indexed=indexed
     ).persist()
     stats.n_samples = samples.count()
     stats.t_select = time.perf_counter() - t0

@@ -24,8 +24,8 @@ import numpy as np
 import pandas as pd
 
 from repro.core.probability import Instance
-from repro.core.similarity import jaccard_dist, tokens
-from repro.streams.stream_gen import ATTR_COLS, D
+from repro.core.similarity import jaccard_dist
+from repro.streams.stream_gen import D
 
 
 @dataclass
@@ -69,7 +69,6 @@ def build_imputed_tuple(
     *,
     topics: list[str],
     pivot_tokens: list[frozenset],
-    keywords_all: list[str] | None = None,
 ) -> ImputedTuple:
     """Assemble an ImputedTuple from (attrs, p) candidates.
 

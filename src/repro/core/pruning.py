@@ -3,8 +3,9 @@
 All kernels are pure functions over per-tuple *aggregates* (token-set-size
 intervals, pivot-distance intervals and expectations, keyword flags), so they
 can be evaluated either row-wise (tests reproduce the paper's Examples 5-7
-exactly) or vectorized over numpy arrays inside the Spark pipeline
-(`numpy` broadcasting: every argument may be a scalar or an ndarray).
+exactly) or vectorized over arrays of pairs, as the ER-grid candidate
+generation does (`numpy` broadcasting: every argument may be a scalar or an
+ndarray). This module is the only implementation of these bounds.
 """
 from __future__ import annotations
 

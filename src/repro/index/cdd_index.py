@@ -1,12 +1,9 @@
 """CDD-index ``I_j`` over detected CDD rules (paper §5.1, Figure 2).
 
 Rule counts are tens per dependent attribute, so the lattice + aR-tree
-structure is realized as a broadcastable rule table plus *group aggregates*:
-per dependent attribute, the merged (minimally-bounding) determinant
-intervals over all rules in the group — the root-entry aggregates
-``A_j.I_e`` / ``I_{x,a}`` of the paper's aR-tree. Probing first checks the
-group aggregate (can this tuple satisfy *any* rule for A_j?) and only then
-joins the per-rule rows — the top-down traversal of the two-level tree.
+structure is realized as a broadcastable flat rule table: the imputation
+probe joins it on the missing (dependent) attribute and then checks each
+rule's determinant constraints exactly.
 
 Rules with up to two determinant constraints (lattice levels 1-2) are encoded
 flat: ``(rule_id, dep, x1, lo1, hi1, x2, lo2, hi2, dep_lo, dep_hi)`` with the
@@ -16,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import (
     DoubleType,
     IntegerType,
@@ -46,19 +41,11 @@ _SCHEMA = StructType(
 
 @dataclass
 class CDDIndex:
-    """Rule table + per-dependent group aggregates."""
+    """Flat rule table + the driver-side rules it encodes."""
 
     rules_df: DataFrame                 # flat rule table (broadcast side)
     rules: dict[int, list[CDDRule]]     # driver-side rules by dependent
-    group_agg: pd.DataFrame             # dep, max dep_hi, per-det merged hi
     n_rules: int
-
-    def max_dep_hi(self) -> float:
-        """Largest dependent-interval upper bound across all rules (the
-        ``dom_pairs`` distance cutoff)."""
-        if self.group_agg.empty:
-            return 0.5
-        return float(self.group_agg["dep_hi_max"].max())
 
 
 def rules_to_rows(rules: dict[int, list[CDDRule]]) -> list[tuple]:
@@ -98,13 +85,4 @@ def build_cdd_index(
     rows = rules_to_rows(rules)
     rules_df = spark.createDataFrame(rows, schema=_SCHEMA).coalesce(1).persist()
     n = rules_df.count()
-    pdf = rules_df.toPandas()
-    if pdf.empty:
-        agg = pd.DataFrame(columns=["dep", "dep_hi_max", "det_hi_max"])
-    else:
-        agg = (
-            pdf.groupby("dep")
-            .agg(dep_hi_max=("dep_hi", "max"), det_hi_max=("hi1", "max"))
-            .reset_index()
-        )
-    return CDDIndex(rules_df=rules_df, rules=rules, group_agg=agg, n_rules=n)
+    return CDDIndex(rules_df=rules_df, rules=rules, n_rules=n)

@@ -1,13 +1,13 @@
 """DR-index ``I_R`` over the data repository R (paper §5.1, Figure 3).
 
-Repository tuples are pivot-converted per attribute (Jaccard distance of
-``s[A_x]`` to the main pivot ``piv_1[A_x]``) and assigned to equi-width
-buckets of [0, 1] — the two-level aR-tree of DESIGN.md. The index probe for
-an interval constraint ``dist(r[A_x], s[A_x]) in [lo, hi]`` uses the triangle
-inequality: any qualifying sample must satisfy
-``|pd(s) - pd(r)| <= hi``, so only buckets overlapping
-``[pd(r) - hi, pd(r) + hi]`` are scanned (candidate buckets joined on key,
-then exact constraint filtering — false positives only, never negatives).
+Repository tuples are tokenized and pivot-converted per attribute (Jaccard
+distance of ``s[A_x]`` to the main pivot ``piv_1[A_x]``, with its equi-width
+bucket of [0, 1]). The imputation probe for an interval constraint
+``dist(r[A_x], s[A_x]) in [lo, hi]`` runs on the **token postings**
+``repo_tok``: any sample within Jaccard distance ``hi < 1`` of ``r[A_x]``
+shares a token with it, so a postings equi-join yields a complete candidate
+superset, and the exact constraints remove the false positives (DESIGN.md
+§2.3).
 
 The index also precomputes the per-attribute value **domains** and the
 ``dom_pairs`` table (value pairs within the maximum dependent interval),
@@ -47,7 +47,6 @@ class DRIndex:
     """
 
     repo: DataFrame          # sid, a0..a4, t0..t4, pd0..pd4, pb0..pb4
-    repo_long: DataFrame     # sid, attr, pb  (bucket postings list)
     repo_tok: DataFrame      # sid, attr, tok (token postings list)
     dom_pairs: DataFrame     # attr, u, v, dist  (dist <= max_dep_hi)
     dom_values: DataFrame    # attr, v, vtok    (unindexed candidate scan)
@@ -56,8 +55,7 @@ class DRIndex:
     n_samples: int
 
     def unpersist(self) -> None:
-        for df in (self.repo, self.repo_long, self.repo_tok, self.dom_pairs,
-                   self.dom_values):
+        for df in (self.repo, self.repo_tok, self.dom_pairs, self.dom_values):
             try:
                 df.unpersist()
             except Exception:
@@ -90,22 +88,6 @@ def build_dr_index(
         )
     repo = sdf.coalesce(4).persist()
     n_samples = repo.count()
-
-    repo_long = (
-        repo.select(
-            "sid",
-            F.explode(
-                F.arrays_zip(
-                    F.array(*[F.lit(k) for k in range(D)]),
-                    F.array(*[F.col(f"pb{k}") for k in range(D)]),
-                )
-            ).alias("z"),
-        )
-        .select("sid", F.col("z.0").alias("attr"), F.col("z.1").alias("pb"))
-        .coalesce(4)
-        .persist()
-    )
-    repo_long.count()
 
     # Token postings: any sample satisfying a (non-degenerate) interval
     # constraint dist(r[A_x], s[A_x]) <= hi < 1 must share at least one token
@@ -161,7 +143,7 @@ def build_dr_index(
     }
     vals.unpersist()
     return DRIndex(
-        repo=repo, repo_long=repo_long, repo_tok=repo_tok, dom_pairs=dom_pairs,
+        repo=repo, repo_tok=repo_tok, dom_pairs=dom_pairs,
         dom_values=dom_values, domains=domains,
         n_buckets=n_buckets, n_samples=n_samples,
     )

@@ -4,33 +4,28 @@ The grid assigns every (imputed) window tuple to a d-dimensional cell by its
 per-attribute main-pivot distance lower bound. Cells carry the paper's
 aggregates: keyword existence, minimally-bounding pivot-distance intervals,
 token-set-size intervals, and per-stream member counts. Candidate generation
-for a micro-batch is a Spark pipeline:
+for a micro-batch is a driver-side numpy pass over the window's aggregates
+(a few thousand rows), using the bound kernels of :mod:`repro.core.pruning`:
 
   new-tuples x cells  -> cell-level pruning (Thm 4.1 / Thm 4.2 via
                           Lemmas 4.1-4.2 on cell aggregates)
   survivors x members -> tuple-level pruning (Thm 4.1, Lemmas 4.1-4.2,
-                          Thm 4.3 via the Lemma-4.3 Paley-Zygmund column)
+                          Thm 4.3 via Lemma 4.3)
 
 A cell pruned at stage s attributes all its eligible member pairs to stage s
 (index-level pruning credited to its theorem, as in the paper's Figure 4).
-New-vs-new pairs (both sides arriving in the same batch) are checked in a
-vectorized driver pass using the same numpy kernels, with identical stage
-accounting.
+New-vs-new pairs (both sides arriving in the same batch) go through the same
+staged evaluation, with identical stage accounting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, Observation, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import pruning as PR
 from repro.streams.stream_gen import D
-
-AGG_COLS = [f"{p}{k}" for k in range(D) for p in ("lb", "ub", "e", "tmin", "tmax")]
-
 
 @dataclass
 class PruneStats:
@@ -88,55 +83,60 @@ def build_cells(members: pd.DataFrame) -> pd.DataFrame:
     return cells
 
 
-def _ts_ub_col(tmin_i, tmax_i, tmin_j, tmax_j) -> Column:
-    """Lemma 4.1 per-attribute similarity upper bound as a Spark column.
+def _columns(frame: pd.DataFrame) -> dict[str, np.ndarray]:
+    return {c: frame[c].to_numpy() for c in frame.columns}
 
-    ``try_divide`` (not ``/``): under ANSI mode, codegen subexpression
-    elimination may evaluate a guarded division even when its ``when`` branch
-    is not taken, turning a well-guarded 0-denominator into a hard error.
-    """
-    ub = (
-        F.when((tmax_i == 0) | (tmax_j == 0), F.lit(0.0))
-        .when(tmin_i > tmax_j, F.try_divide(tmax_j, tmin_i))
-        .when(tmax_i < tmin_j, F.try_divide(tmax_i, tmin_j))
-        .otherwise(F.lit(1.0))
+
+def _staged_prune(
+    x: dict, i: np.ndarray, y: dict, j: np.ndarray, *,
+    d: int, gamma: float, alpha: float, use_pivot: bool, use_prob: bool,
+    weight: np.ndarray | None = None,
+) -> tuple[np.ndarray, PruneStats]:
+    """Thm 4.1 -> Lemmas 4.1/4.2 -> Lemma 4.3 over the index pairs
+    ``(x[i], y[j])`` of two aggregate column maps.
+
+    ``weight`` is the number of tuple pairs each index pair stands for (the
+    eligible members of a cell); by default each counts once. Returns the
+    survivor mask and the stage-attributed stats."""
+    def summed(side, idx, name):
+        return sum(side[f"{name}{k}"][idx] for k in range(D))
+
+    w = np.ones(len(i), dtype=np.int64) if weight is None else weight
+    surv = ~PR.topic_keyword_prune(x["kw_mask"][i] != 0, y["kw_mask"][j] != 0)
+    ts_ub = sum(
+        PR.ub_sim_token_size(x[f"tmin{k}"][i], x[f"tmax{k}"][i],
+                             y[f"tmin{k}"][j], y[f"tmax{k}"][j])
+        for k in range(D)
     )
-    return ub
+    sim_ok = ts_ub > gamma
+    if use_pivot:
+        piv_ub = float(d) - sum(
+            PR.ub_sim_pivot(x[f"lb{k}"][i], x[f"ub{k}"][i],
+                            y[f"lb{k}"][j], y[f"ub{k}"][j])
+            for k in range(D)
+        )
+        sim_ok &= piv_ub > gamma
+    st = PruneStats(total=int(w.sum()), pruned_topic=int(w[~surv].sum()),
+                    pruned_sim=int(w[surv & ~sim_ok].sum()))
+    surv &= sim_ok
+    if use_prob:
+        prob_ub = PR.ub_prob_paley_zygmund(
+            d, gamma,
+            summed(x, i, "e"), summed(y, j, "e"),
+            summed(x, i, "lb"), summed(x, i, "ub"),
+            summed(y, j, "lb"), summed(y, j, "ub"),
+        )
+        prob_ok = prob_ub > alpha
+        st.pruned_prob = int(w[surv & ~prob_ok].sum())
+        surv &= prob_ok
+    return surv, st
 
 
-def _min_dist_col(lb_x, ub_x, lb_y, ub_y) -> Column:
-    """Lemma 4.2 per-attribute minimum-distance as a Spark column."""
-    return (
-        F.when(lb_x > ub_y, lb_x - ub_y)
-        .when(lb_y > ub_x, lb_y - ub_x)
-        .otherwise(F.lit(0.0))
-    )
-
-
-def paley_zygmund_col(
-    d: int, gamma: float, e_x, e_y, lb_x, ub_x, lb_y, ub_y
-) -> Column:
-    """Lemma 4.3 probability upper bound as a Spark column (see
-    :func:`repro.core.pruning.ub_prob_paley_zygmund` for the numpy twin)."""
-    t = F.lit(float(d) - float(gamma))
-    # try_divide everywhere: ANSI mode would otherwise raise on the zero
-    # denominators of rows that never take the guarded branch.
-    th1 = F.try_divide(t, e_x - e_y)
-    b1 = F.lit(1.0) - (F.lit(1.0) - th1) * (F.lit(1.0) - th1) * F.try_divide(
-        e_x - e_y, ub_x - lb_y
-    )
-    c1 = (lb_x >= ub_y) & (th1 >= 0) & (th1 <= 1) & ((ub_x - lb_y) > 0)
-    th2 = F.try_divide(t, e_y - e_x)
-    b2 = F.lit(1.0) - (F.lit(1.0) - th2) * (F.lit(1.0) - th2) * F.try_divide(
-        e_y - e_x, ub_y - lb_x
-    )
-    c2 = (lb_y >= ub_x) & (th2 >= 0) & (th2 <= 1) & ((ub_y - lb_x) > 0)
-    raw = F.when(c1, b1).when(c2, b2).otherwise(F.lit(1.0))
-    return F.greatest(F.lit(0.0), F.least(F.lit(1.0), raw))
+def _no_pairs() -> pd.DataFrame:
+    return pd.DataFrame(columns=["rid_n", "rid_m"])
 
 
 def generate_candidates(
-    spark: SparkSession,
     new_aggs: pd.DataFrame,
     window_aggs: pd.DataFrame,
     *,
@@ -153,123 +153,44 @@ def generate_candidates(
     ``use_prob`` gate the Lemma-4.2/4.3 stages (the I_j+G_ER baseline runs
     without the fused pivot-sharing prunes, DESIGN.md §2.4).
     """
-    stats = PruneStats()
     if new_aggs.empty or window_aggs.empty:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
+        return _no_pairs(), PruneStats()
+    bounds = dict(d=d, gamma=gamma, alpha=alpha, use_pivot=use_pivot)
 
-    members = window_aggs.copy()
-    members["cell"] = assign_cells(members, cells_per_dim)
+    members = window_aggs.assign(cell=assign_cells(window_aggs, cells_per_dim))
     cells = build_cells(members)
+    n = _columns(new_aggs)
+    c = _columns(cells.rename(columns={"kw_any": "kw_mask", **{
+        f"c{agg}{k}": f"{agg}{k}" for k in range(D) for agg in ("lb", "ub", "tmin", "tmax")
+    }}))
 
-    nsdf = spark.createDataFrame(
-        new_aggs.rename(columns={c: f"n_{c}" for c in new_aggs.columns})
-    )
-    csdf = spark.createDataFrame(cells)
-    joined = nsdf.crossJoin(F.broadcast(csdf))
+    # Cell level: every new tuple against every occupied cell, each pair
+    # weighted by the cell's members from the other stream.
+    n_new, n_cells = len(new_aggs), len(cells)
+    ci = np.repeat(np.arange(n_new), n_cells)
+    cj = np.tile(np.arange(n_cells), n_new)
+    other = 1 - n["stream_id"][ci]
+    elig = cells[["n0", "n1"]].to_numpy()[cj, other]
+    keep, stats = _staged_prune(n, ci, c, cj, weight=elig, use_prob=False, **bounds)
 
-    elig = F.when(F.col("n_stream_id") == 0, F.col("n1")).otherwise(F.col("n0"))
-    kw_ok = (F.col("n_kw_mask") != 0) | (F.col("kw_any") != 0)
-    ts_ub = sum(
-        _ts_ub_col(
-            F.col(f"n_tmin{k}"), F.col(f"n_tmax{k}"),
-            F.col(f"ctmin{k}"), F.col(f"ctmax{k}"),
-        )
-        for k in range(D)
-    )
-    piv_ub = F.lit(float(d)) - sum(
-        _min_dist_col(
-            F.col(f"n_lb{k}"), F.col(f"n_ub{k}"),
-            F.col(f"clb{k}"), F.col(f"cub{k}"),
-        )
-        for k in range(D)
-    )
-    sim_ok = ts_ub > gamma
-    if use_pivot:
-        sim_ok = sim_ok & (piv_ub > gamma)
-    joined = joined.withColumn("elig", elig).withColumn("kw_ok", kw_ok).withColumn(
-        "sim_ok", sim_ok
-    )
+    # Expand surviving (new, cell) pairs to the cell's other-stream members:
+    # members sorted by group g = 2*cell + stream, so each group is a slice.
+    m = _columns(members.drop(columns="cell"))
+    code = pd.Categorical(members["cell"], categories=cells["cell"]).codes
+    group = 2 * code.astype(np.int64) + m["stream_id"]
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group, minlength=2 * n_cells)
+    start = np.cumsum(size) - size
+    g = 2 * cj[keep] + other[keep]
+    cnt = size[g]
+    ti = np.repeat(ci[keep], cnt)
+    offset = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    tj = order[np.repeat(start[g], cnt) + offset]
 
-    # Stage counters ride along as Observation metrics — the whole candidate
-    # pipeline (cell prune -> member expand -> tuple prune) runs as a single
-    # Spark action, so the fused TER path is not taxed with extra job
-    # round-trips just for Fig.-4 accounting.
-    cell_obs = Observation("cells")
-    joined = joined.observe(
-        cell_obs,
-        F.sum("elig").alias("total"),
-        F.sum(F.when(~F.col("kw_ok"), F.col("elig")).otherwise(0)).alias("p_kw"),
-        F.sum(
-            F.when(F.col("kw_ok") & ~F.col("sim_ok"), F.col("elig")).otherwise(0)
-        ).alias("p_sim"),
-    )
-
-    surv_cells = joined.where(F.col("kw_ok") & F.col("sim_ok")).select(
-        *[F.col(c) for c in nsdf.columns], "cell"
-    )
-    msdf = spark.createDataFrame(
-        members.rename(columns={c: f"m_{c}" for c in members.columns if c != "cell"})
-    )
-    pairs = surv_cells.join(F.broadcast(msdf), "cell").where(
-        F.col("m_stream_id") != F.col("n_stream_id")
-    )
-
-    t_kw = (F.col("n_kw_mask") != 0) | (F.col("m_kw_mask") != 0)
-    t_ts = sum(
-        _ts_ub_col(
-            F.col(f"n_tmin{k}"), F.col(f"n_tmax{k}"),
-            F.col(f"m_tmin{k}"), F.col(f"m_tmax{k}"),
-        )
-        for k in range(D)
-    ) > gamma
-    t_piv = (
-        F.lit(float(d))
-        - sum(
-            _min_dist_col(
-                F.col(f"n_lb{k}"), F.col(f"n_ub{k}"),
-                F.col(f"m_lb{k}"), F.col(f"m_ub{k}"),
-            )
-            for k in range(D)
-        )
-    ) > gamma
-    t_sim = t_ts & t_piv if use_pivot else t_ts
-    if use_prob:
-        prob_ub = paley_zygmund_col(
-            d, gamma,
-            sum(F.col(f"n_e{k}") for k in range(D)),
-            sum(F.col(f"m_e{k}") for k in range(D)),
-            sum(F.col(f"n_lb{k}") for k in range(D)),
-            sum(F.col(f"n_ub{k}") for k in range(D)),
-            sum(F.col(f"m_lb{k}") for k in range(D)),
-            sum(F.col(f"m_ub{k}") for k in range(D)),
-        )
-        t_prob = prob_ub > alpha
-    else:
-        t_prob = F.lit(True)
-    pairs = pairs.withColumn("t_kw", t_kw).withColumn("t_sim", t_sim).withColumn(
-        "t_prob", t_prob
-    )
-    tup_obs = Observation("tuples")
-    pairs = pairs.observe(
-        tup_obs,
-        F.sum(F.when(~F.col("t_kw"), 1).otherwise(0)).alias("p_kw"),
-        F.sum(F.when(F.col("t_kw") & ~F.col("t_sim"), 1).otherwise(0)).alias("p_sim"),
-        F.sum(
-            F.when(F.col("t_kw") & F.col("t_sim") & ~F.col("t_prob"), 1).otherwise(0)
-        ).alias("p_prob"),
-    )
-
-    out = (
-        pairs.where(F.col("t_kw") & F.col("t_sim") & F.col("t_prob"))
-        .select(F.col("n_rid").alias("rid_n"), F.col("m_rid").alias("rid_m"))
-        .toPandas()
-    )
-    cm = cell_obs.get
-    tm = tup_obs.get
-    stats.total += int(cm["total"] or 0)
-    stats.pruned_topic += int(cm["p_kw"] or 0) + int(tm["p_kw"] or 0)
-    stats.pruned_sim += int(cm["p_sim"] or 0) + int(tm["p_sim"] or 0)
-    stats.pruned_prob += int(tm["p_prob"] or 0)
+    surv, tup = _staged_prune(n, ti, m, tj, use_prob=use_prob, **bounds)
+    # The cell level already counted these pairs in ``total``.
+    stats.add(replace(tup, total=0))
+    out = pd.DataFrame({"rid_n": n["rid"][ti[surv]], "rid_m": m["rid"][tj[surv]]})
     return out, stats
 
 
@@ -282,66 +203,17 @@ def newnew_candidates(
     use_pivot: bool = True,
     use_prob: bool = True,
 ) -> tuple[pd.DataFrame, PruneStats]:
-    """Same-batch (new x new) cross-stream pairs via the numpy kernels —
-    identical pruning order and stage accounting as the Spark path."""
-    stats = PruneStats()
-    a = new_aggs.reset_index(drop=True)
-    if len(a) < 2:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
-    idx_i, idx_j = np.triu_indices(len(a), k=1)
-    cross = a["stream_id"].to_numpy()[idx_i] != a["stream_id"].to_numpy()[idx_j]
+    """Same-batch (new x new) cross-stream pairs, with the same staged
+    pruning and stage accounting as the new x window pairs."""
+    a = _columns(new_aggs)
+    idx_i, idx_j = np.triu_indices(len(new_aggs), k=1)
+    cross = a["stream_id"][idx_i] != a["stream_id"][idx_j]
     idx_i, idx_j = idx_i[cross], idx_j[cross]
-    stats.total = len(idx_i)
-    if stats.total == 0:
-        return pd.DataFrame(columns=["rid_n", "rid_m"]), stats
-
-    def col(name, idx):
-        return a[name].to_numpy()[idx]
-
-    kw_pruned = PR.topic_keyword_prune(
-        col("kw_mask", idx_i) != 0, col("kw_mask", idx_j) != 0
+    if len(idx_i) == 0:
+        return _no_pairs(), PruneStats()
+    surv, stats = _staged_prune(
+        a, idx_i, a, idx_j, d=d, gamma=gamma, alpha=alpha,
+        use_pivot=use_pivot, use_prob=use_prob,
     )
-    ts_ub = sum(
-        PR.ub_sim_token_size(
-            col(f"tmin{k}", idx_i), col(f"tmax{k}", idx_i),
-            col(f"tmin{k}", idx_j), col(f"tmax{k}", idx_j),
-        )
-        for k in range(D)
-    )
-    piv_ub = float(d) - sum(
-        PR.ub_sim_pivot(
-            col(f"lb{k}", idx_i), col(f"ub{k}", idx_i),
-            col(f"lb{k}", idx_j), col(f"ub{k}", idx_j),
-        )
-        for k in range(D)
-    )
-    sim_ok = ts_ub > gamma
-    if use_pivot:
-        sim_ok &= piv_ub > gamma
-    if use_prob:
-        prob_ub = PR.ub_prob_paley_zygmund(
-            d, gamma,
-            sum(col(f"e{k}", idx_i) for k in range(D)),
-            sum(col(f"e{k}", idx_j) for k in range(D)),
-            sum(col(f"lb{k}", idx_i) for k in range(D)),
-            sum(col(f"ub{k}", idx_i) for k in range(D)),
-            sum(col(f"lb{k}", idx_j) for k in range(D)),
-            sum(col(f"ub{k}", idx_j) for k in range(D)),
-        )
-        prob_ok = prob_ub > alpha
-    else:
-        prob_ok = np.ones(len(idx_i), dtype=bool)
-
-    surv = ~kw_pruned
-    stats.pruned_topic = int(kw_pruned.sum())
-    stats.pruned_sim = int((surv & ~sim_ok).sum())
-    surv &= sim_ok
-    stats.pruned_prob = int((surv & ~prob_ok).sum())
-    surv &= prob_ok
-    out = pd.DataFrame(
-        {
-            "rid_n": a["rid"].to_numpy()[idx_j[surv]],
-            "rid_m": a["rid"].to_numpy()[idx_i[surv]],
-        }
-    )
+    out = pd.DataFrame({"rid_n": a["rid"][idx_j[surv]], "rid_m": a["rid"][idx_i[surv]]})
     return out, stats

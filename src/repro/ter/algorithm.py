@@ -49,7 +49,7 @@ from repro.index.er_grid import (
     generate_candidates,
     newnew_candidates,
 )
-from repro.streams.stream_gen import ATTR_COLS, D, Dataset
+from repro.streams.stream_gen import ATTR_COLS, Dataset
 from repro.streams.window import WindowBatch, sliding_batches
 from repro.ter.baselines import exact_er_spark, instances_frame
 
@@ -308,15 +308,12 @@ def _run_measured_batch(
     t0 = time.perf_counter()
     if method in ("ter", "ij_ger"):
         fused = method == "ter"
-        if len(state.aggs):
-            cand, st1 = generate_candidates(
-                spark, new_aggs, state.aggs,
-                d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
-                cells_per_dim=cfg.grid_cells_per_dim,
-                use_pivot=fused, use_prob=fused,
-            )
-        else:
-            cand, st1 = pd.DataFrame(columns=["rid_n", "rid_m"]), PruneStats()
+        cand, st1 = generate_candidates(
+            new_aggs, state.aggs,
+            d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
+            cells_per_dim=cfg.grid_cells_per_dim,
+            use_pivot=fused, use_prob=fused,
+        )
         cand2, st2 = newnew_candidates(
             new_aggs, d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
             use_pivot=fused, use_prob=fused,

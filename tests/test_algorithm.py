@@ -5,35 +5,31 @@ CDD imputation (indexed sample retrieval is exactly equivalent to the cross
 join) and the pruning/grid stages are safe — so all three must emit the
 *same result pair set*; they differ only in how much work they do.
 """
-import pandas as pd
 import pytest
 
-from repro.config import TERConfig
-from repro.ter.algorithm import METHODS, Prepared, prepare, run_stream
+from repro.bench.harness import Context
+from repro.index.er_grid import PruneStats
+from repro.ter.algorithm import METHODS, prepare, run_stream
 from repro.ter.metrics import f_score, pruning_power
 from repro.ter.truth import truth_pairs
-from repro.core.cdd_detect import sample_pair_profile
 
 MAX_BATCHES = 2
 
 
 @pytest.fixture(scope="module")
 def runs(spark, small_ds, small_cfg):
-    """Run every method once on the small dataset (shared offline work)."""
-    profile = sample_pair_profile(spark, small_ds.repository, seed=small_cfg.seed)
-    out = {}
-    preps = {}
-    pivots = None
-    for m in METHODS:
-        prep = prepare(
-            spark, small_ds, small_cfg, m, profile=profile, pivots=pivots
-        )
-        pivots = prep.pivots
-        preps[m] = prep
-        out[m] = run_stream(spark, small_ds, small_cfg, prep, max_batches=MAX_BATCHES)
+    """Run every method once on the small dataset. The profile, pivots and
+    one DR-index are shared across methods."""
+    ctx = Context(spark, small_ds, small_cfg)
+    out = {
+        m: run_stream(spark, small_ds, small_cfg, ctx.prep(spark, small_cfg, m),
+                      max_batches=MAX_BATCHES)
+        for m in METHODS
+    }
     yield out
-    for p in preps.values():
+    for p in ctx.preps.values():
         p.unpersist()
+    ctx.dr.unpersist()
 
 
 class TestRunBasics:
@@ -91,6 +87,25 @@ class TestPruning:
         st = runs["ter"].prune
         assert st.survivors >= 0
         assert st.pruned_instance + st.refined <= st.survivors + 1
+
+
+class TestGolden:
+    """Golden check: the reported pairs and per-stage counts of the ``runs``
+    fixture. A change to candidate generation, pruning or refinement that
+    claims the same outputs must reproduce them exactly."""
+
+    PAIRS = {frozenset((127, 153)), frozenset((150, 166))}
+    PRUNE = {
+        "ter": PruneStats(total=4638, pruned_topic=4102, pruned_sim=209,
+                          pruned_prob=0, pruned_instance=37, refined=290),
+        "ij_ger": PruneStats(total=4638, pruned_topic=4102, pruned_sim=209,
+                             pruned_prob=0, pruned_instance=0, refined=327),
+    }
+
+    @pytest.mark.parametrize("method", ["ter", "ij_ger"])
+    def test_pairs_and_prune_stats(self, runs, method):
+        assert set(runs[method].pairs) == self.PAIRS
+        assert runs[method].prune == self.PRUNE[method]
 
 
 class TestFScore:

@@ -1,4 +1,4 @@
-"""DR-index tests: bucketing, postings, and dom_pairs vs brute force."""
+"""DR-index tests: pivot distances, bucketing, and dom_pairs vs brute force."""
 import itertools
 
 import pandas as pd
@@ -55,16 +55,6 @@ class TestBuild:
             for k in range(D):
                 b = min(dr.n_buckets - 1, int(r[f"pd{k}"] * dr.n_buckets))
                 assert r[f"pb{k}"] == b
-
-    def test_postings_cover_all_attrs(self, tiny_index, tiny_repo):
-        dr, _ = tiny_index
-        assert dr.repo_long.count() == len(tiny_repo) * D
-
-    def test_postings_match_repo_buckets(self, tiny_index):
-        dr, _ = tiny_index
-        repo = {r["sid"]: r for r in dr.repo.collect()}
-        for p in dr.repo_long.collect():
-            assert repo[p["sid"]][f"pb{p['attr']}"] == p["pb"]
 
     def test_domains(self, tiny_index, tiny_repo):
         dr, _ = tiny_index

@@ -1,14 +1,12 @@
-"""ER-grid tests: cell assignment, aggregates, pruning safety, Spark/numpy
-bound parity.
+"""ER-grid tests: cell assignment, aggregates, pruning safety, and stage
+attribution against a row-wise reference.
 
 The crucial property is *safety*: no pair that the exact Eq. (2) refinement
 would accept may be pruned by the grid pipeline (index pruning admits false
 positives, never false negatives).
 """
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.config import TERConfig
 from repro.core.instances import aggregates_frame, build_imputed_tuple
@@ -19,10 +17,9 @@ from repro.index.er_grid import (
     build_cells,
     generate_candidates,
     newnew_candidates,
-    paley_zygmund_col,
 )
 from repro.core import pruning as PR
-from repro.streams.stream_gen import ATTR_COLS, D
+from repro.streams.stream_gen import D
 
 KW = ["topic00", "topic01"]
 PIV = [frozenset({"p", "q"})] * D
@@ -81,6 +78,104 @@ def brute_force_accepts(tuples_new, tuples_win, gamma, alpha):
     return out
 
 
+@pytest.fixture(scope="module")
+def varied():
+    """Tuples whose token-set sizes and main-pivot distances vary, so the
+    similarity stage (Lemmas 4.1/4.2) prunes at cell and at tuple level.
+
+    Three families per attribute: few tokens mostly drawn from the pivot
+    (small sets, pivot distance 0.25-0.6), a handful of non-pivot tokens
+    (distance 1) and many non-pivot tokens (distance 0.8-1). The last two
+    share grid cells, so a cell can pass while some of its members fail.
+    Half the tuples carry a keyword, stream-1 twins of some tuples are
+    planted matches, and every fourth tuple carries two instances."""
+    rng = np.random.default_rng(3)
+    piv = ["p0", "p1", "p2", "p3"]
+    vocab = [f"v{i}" for i in range(40)]
+    shapes = {"small": ((2, 3), (0, 1)), "mid": ((0, 0), (3, 4)),
+              "large": ((0, 1), (8, 10))}
+
+    def value(family):
+        (pa, pb), (oa, ob) = shapes[family]
+        toks = list(rng.choice(piv, size=rng.integers(pa, pb + 1), replace=False))
+        toks += list(rng.choice(vocab, size=rng.integers(oa, ob + 1), replace=False))
+        return " ".join(toks)
+
+    def attrs(family, kw):
+        vals = [value(family) for _ in range(D)]
+        if kw:
+            vals[0] += " topic00"
+        return tuple(vals)
+
+    tuples, rid = [], 0
+    for i in range(30):
+        family = list(shapes)[i % 3]
+        base = attrs(family, kw=True)
+        for sid in (0, 1):
+            if sid == 1 and i % 4 == 0:
+                a = base
+            else:
+                a = attrs(list(shapes)[rng.integers(3)], kw=rng.random() < 0.5)
+            if rid % 4 == 3:
+                cands = [(a, 0.7), (attrs(family, kw=False), 0.3)]
+            else:
+                cands = [(a, 1.0)]
+            tuples.append(build_imputed_tuple(
+                rid, sid, cands, topics=KW, pivot_tokens=[frozenset(piv)] * D))
+            rid += 1
+    return tuples
+
+
+def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
+                         use_pivot, use_prob):
+    """Row-wise reference for ``generate_candidates``: walk (new, cell)
+    pairs, then the surviving cells' (new, member) pairs, with scalar calls
+    to the ``core.pruning`` kernels. Returns (pairs, stats, sim prunes per
+    level)."""
+    waggs = aggregates_frame(win)
+    waggs["cell"] = assign_cells(waggs, cells_per_dim)
+    by_rid = {t.rid: t for t in win}
+    stats, pairs, sim_at = PruneStats(), set(), {"cell": 0, "tuple": 0}
+
+    def sim_ok(tmin_a, tmax_a, lb_a, ub_a, tmin_b, tmax_b, lb_b, ub_b):
+        ts = sum(float(PR.ub_sim_token_size(tmin_a[k], tmax_a[k], tmin_b[k], tmax_b[k]))
+                 for k in range(D))
+        piv = d - sum(float(PR.ub_sim_pivot(lb_a[k], ub_a[k], lb_b[k], ub_b[k]))
+                      for k in range(D))
+        return ts > gamma and (piv > gamma or not use_pivot)
+
+    for a in new:
+        for c in build_cells(waggs).itertuples(index=False):
+            elig = c.n1 if a.stream_id == 0 else c.n0
+            stats.total += elig
+            if PR.topic_keyword_prune(a.kw_mask != 0, c.kw_any != 0):
+                stats.pruned_topic += elig
+                continue
+            cell = [[getattr(c, f"{p}{k}") for k in range(D)]
+                    for p in ("ctmin", "ctmax", "clb", "cub")]
+            if not sim_ok(a.tmin, a.tmax, a.lb, a.ub, *cell):
+                stats.pruned_sim += elig
+                sim_at["cell"] += elig
+                continue
+            for rid in waggs.loc[waggs["cell"] == c.cell, "rid"]:
+                b = by_rid[rid]
+                if b.stream_id == a.stream_id:
+                    continue
+                if PR.topic_keyword_prune(a.kw_mask != 0, b.kw_mask != 0):
+                    stats.pruned_topic += 1
+                elif not sim_ok(a.tmin, a.tmax, a.lb, a.ub, b.tmin, b.tmax, b.lb, b.ub):
+                    stats.pruned_sim += 1
+                    sim_at["tuple"] += 1
+                elif use_prob and PR.ub_prob_paley_zygmund(
+                    d, gamma, sum(a.e), sum(b.e), sum(a.lb), sum(a.ub),
+                    sum(b.lb), sum(b.ub),
+                ) <= alpha:
+                    stats.pruned_prob += 1
+                else:
+                    pairs.add((a.rid, b.rid))
+    return pairs, stats, sim_at
+
+
 class TestAssignCells:
     def test_deterministic_and_in_range(self, population):
         aggs = aggregates_frame(population)
@@ -115,36 +210,6 @@ class TestBuildCells:
             assert c["n1"] == (grp["stream_id"] == 1).sum()
 
 
-class TestPaleyZygmundColumn:
-    def test_matches_numpy(self, spark):
-        rng = np.random.default_rng(1)
-        n = 200
-        e_x = rng.uniform(0, 5, n)
-        e_y = rng.uniform(0, 5, n)
-        lb_x = np.minimum(e_x, rng.uniform(0, 5, n))
-        ub_x = np.maximum(e_x, rng.uniform(0, 5, n))
-        lb_y = np.minimum(e_y, rng.uniform(0, 5, n))
-        ub_y = np.maximum(e_y, rng.uniform(0, 5, n))
-        pdf = pd.DataFrame(
-            dict(e_x=e_x, e_y=e_y, lb_x=lb_x, ub_x=ub_x, lb_y=lb_y, ub_y=ub_y)
-        )
-        want = PR.ub_prob_paley_zygmund(5, 2.5, e_x, e_y, lb_x, ub_x, lb_y, ub_y)
-        got = (
-            spark.createDataFrame(pdf)
-            .select(
-                paley_zygmund_col(
-                    5, 2.5,
-                    F.col("e_x"), F.col("e_y"),
-                    F.col("lb_x"), F.col("ub_x"),
-                    F.col("lb_y"), F.col("ub_y"),
-                ).alias("ub")
-            )
-            .toPandas()["ub"]
-            .to_numpy()
-        )
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
 class TestCandidateGeneration:
     CFG = TERConfig(rho=0.5, alpha=0.3)
 
@@ -153,21 +218,21 @@ class TestCandidateGeneration:
         win = population[16:]
         return new, win
 
-    def test_pruning_is_safe(self, spark, population):
+    def test_pruning_is_safe(self, population):
         """Every exact accept survives the grid pruning stages."""
         new, win = self._split(population)
         pairs, _ = generate_candidates(
-            spark, aggregates_frame(new), aggregates_frame(win),
+            aggregates_frame(new), aggregates_frame(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
         )
         surv = {frozenset((r.rid_n, r.rid_m)) for r in pairs.itertuples(index=False)}
         accepts = brute_force_accepts(new, win, self.CFG.gamma, self.CFG.alpha)
         assert accepts <= surv
 
-    def test_stage_counts_partition_total(self, spark, population):
+    def test_stage_counts_partition_total(self, population):
         new, win = self._split(population)
         pairs, st = generate_candidates(
-            spark, aggregates_frame(new), aggregates_frame(win),
+            aggregates_frame(new), aggregates_frame(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
         )
         assert st.total == sum(
@@ -178,7 +243,7 @@ class TestCandidateGeneration:
         )
         assert st.total == st.pruned_topic + st.pruned_sim + st.pruned_prob + len(pairs)
 
-    def test_pruning_removes_keyword_free_pairs(self, spark, population):
+    def test_pruning_removes_keyword_free_pairs(self, population):
         """In this toy population token sizes are uniform and tokens are
         pivot-disjoint, so only Theorem 4.1 can fire — and it must remove
         every pair where neither side carries a keyword (~4/9 of pairs here).
@@ -186,7 +251,7 @@ class TestCandidateGeneration:
         end-to-end tests / measured by the P1 bench."""
         new, win = self._split(population)
         pairs, st = generate_candidates(
-            spark, aggregates_frame(new), aggregates_frame(win),
+            aggregates_frame(new), aggregates_frame(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
         )
         no_kw_pairs = sum(
@@ -198,30 +263,58 @@ class TestCandidateGeneration:
         assert st.pruned_topic >= no_kw_pairs
         assert len(pairs) <= st.total - no_kw_pairs
 
-    def test_disabled_stages_gate(self, spark, population):
+    def test_disabled_stages_gate(self, population):
         new, win = self._split(population)
         _, st_full = generate_candidates(
-            spark, aggregates_frame(new), aggregates_frame(win),
+            aggregates_frame(new), aggregates_frame(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
         )
         _, st_base = generate_candidates(
-            spark, aggregates_frame(new), aggregates_frame(win),
+            aggregates_frame(new), aggregates_frame(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
             use_pivot=False, use_prob=False,
         )
         assert st_base.pruned_prob == 0
         assert st_base.survivors >= st_full.survivors
 
-    def test_empty_inputs(self, spark, population):
+    def test_empty_inputs(self, population):
         empty = aggregates_frame([])
         aggs = aggregates_frame(population[:4])
         p1, s1 = generate_candidates(
-            spark, empty, aggs, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
+            empty, aggs, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
         )
         p2, s2 = generate_candidates(
-            spark, aggs, empty, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
+            aggs, empty, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
         )
         assert p1.empty and p2.empty and s1.total == 0 and s2.total == 0
+
+
+class TestStageAttribution:
+    """The vectorized pass gives the row-wise reference's pair set and
+    per-stage counts, on a population where every sim-stage level fires."""
+
+    CFG = TERConfig(rho=0.5, alpha=0.3)
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["ter", "ij_ger"])
+    def test_matches_rowwise_reference(self, varied, fused):
+        new, win = varied[:24], varied[24:]
+        kw = dict(d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+                  use_pivot=fused, use_prob=fused)
+        want, want_st, sim_at = reference_candidates(new, win, **kw)
+        assert sim_at["cell"] > 0 and sim_at["tuple"] > 0
+        pairs, st = generate_candidates(aggregates_frame(new), aggregates_frame(win), **kw)
+        assert set(zip(pairs["rid_n"], pairs["rid_m"])) == want
+        assert st == want_st
+
+    def test_safe(self, varied):
+        """Sim-stage pruning at cell and tuple level keeps every exact accept."""
+        new, win = varied[:24], varied[24:]
+        pairs, _ = generate_candidates(
+            aggregates_frame(new), aggregates_frame(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+        )
+        surv = {frozenset(p) for p in zip(pairs["rid_n"], pairs["rid_m"])}
+        assert brute_force_accepts(new, win, self.CFG.gamma, self.CFG.alpha) <= surv
 
 
 class TestNewNewCandidates:

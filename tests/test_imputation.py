@@ -1,6 +1,6 @@
 """Imputation pipeline tests (Section 3 as Spark joins).
 
-Key invariant: the DR-index bucket probe must return exactly the same
+Key invariant: the DR-index token-postings probe must return exactly the same
 candidate frequencies as the straightforward cross join (the index introduces
 no false negatives) — this is the correctness contract of the index join.
 """
@@ -9,14 +9,13 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.imputation import (
-    assemble_instances,
     candidate_frequencies,
     impute_batch,
     impute_batch_con,
     retrieve_samples,
 )
 from repro.oracle import assert_equivalent
-from repro.streams.stream_gen import ATTR_COLS, D
+from repro.streams.stream_gen import ATTR_COLS
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +39,9 @@ def need(batch):
 
 class TestRetrieveSamples:
     def test_indexed_equals_unindexed(self, spark, batch, need, prepared_ter):
-        """Bucket-probe candidates == cross-join candidates, exactly."""
+        """Postings-probe candidates == cross-join candidates, exactly."""
         p = prepared_ter
-        kw = dict(dr=p.dr, cddx=p.cddx, pivots=p.pivots)
+        kw = dict(dr=p.dr, cddx=p.cddx)
         a = retrieve_samples(spark, batch, need, indexed=True, **kw)
         b = retrieve_samples(spark, batch, need, indexed=False, **kw)
         key = ["rid", "j", "rule_id", "sid"]
@@ -57,7 +56,7 @@ class TestRetrieveSamples:
 
         p = prepared_ter
         got = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
+            spark, batch, need, p.dr, p.cddx, indexed=True
         ).toPandas()
         rules_flat = p.cddx.rules_df.toPandas().set_index("rule_id")
         repo = p.dr.repo.select("sid", *ATTR_COLS).toPandas().set_index("sid")
@@ -80,7 +79,7 @@ class TestCandidateFrequencies:
         over the materialized (rid, j, v) candidate rows."""
         p = prepared_ter
         samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
+            spark, batch, need, p.dr, p.cddx, indexed=True
         )
         dp = p.dr.dom_pairs
         cand_rows = samples.join(
@@ -106,7 +105,7 @@ class TestCandidateFrequencies:
 
         p = prepared_ter
         samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, p.pivots, indexed=True
+            spark, batch, need, p.dr, p.cddx, indexed=True
         )
         dp = p.dr.dom_pairs
         rows = samples.join(
