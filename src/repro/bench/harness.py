@@ -3,7 +3,7 @@
 Caching layers (all in-process, keyed by generation/offline parameters):
 - datasets (`_DATASETS`),
 - offline contexts: profile + pivots + shared DR-index (`_CONTEXTS`),
-- per-(context, flavor) rule indexes (`_RULEBOOKS`),
+- per-(context, flavor) rule indexes (`Context.preps`),
 - warmup window states per (context, warmup-flavor, cfg window params)
   (`_WARMUPS`) — sweep points that don't change the imputed window resume
   from the same snapshot (semantics-preserving, tested).
@@ -14,6 +14,7 @@ appended to ``results/measured.json`` so EXPERIMENTS.md can be regenerated.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -84,10 +85,16 @@ class Context:
         self.preps: dict[str, Prepared] = {}
 
     def prep(self, spark: SparkSession, cfg: TERConfig, method: str) -> Prepared:
+        """Rules are detected and indexed once per flavor; methods sharing a
+        flavor get a copy that differs only in ``method``."""
         if method not in self.preps:
-            self.preps[method] = prepare(
-                spark, self.ds, cfg, method,
-                profile=self.profile, pivots=self.pivots, dr=self.dr,
+            flavor = warmup_flavor(method)
+            same = [p for p in self.preps.values() if warmup_flavor(p.method) == flavor]
+            self.preps[method] = (
+                dataclasses.replace(same[0], method=method) if same else prepare(
+                    spark, self.ds, cfg, method,
+                    profile=self.profile, pivots=self.pivots, dr=self.dr,
+                )
             )
         return self.preps[method]
 

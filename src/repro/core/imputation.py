@@ -1,142 +1,139 @@
-"""Online imputation of incomplete tuples (paper Section 3) as Spark joins.
+"""Online imputation of incomplete tuples (paper Section 3), on the driver.
 
-Per micro-batch, incomplete tuples are joined with:
-1. the **CDD-index** rule table (broadcast) on the missing attribute — the
-   paper's "obtain suitable CDD rules";
-2. the **DR-index** token postings of the primary determinant (a sample
-   within Jaccard distance ``hi < 1`` shares a token with the probe value)
-   to retrieve candidate samples ``s in R`` — exact
-   determinant constraints are then checked with Catalyst array expressions
-   (false positives removed; the unindexed baselines use a cross join here);
-3. the ``dom_pairs`` table on the sample's dependent value — the Section-3
-   candidate set ``cand(s[A_j])`` of domain values within ``A_j.I``.
+Per micro-batch, each missing attribute ``A_j`` of an incomplete tuple is
+imputed from the repository R through the two offline indexes:
+1. the **CDD-index** (``index/cdd_index.py``) gives the rules whose
+   dependent attribute is ``A_j`` — the paper's "obtain suitable CDD rules";
+2. the **DR-index** (``index/dr_index.py``) token postings of each rule's
+   first determinant give the candidate samples ``s in R`` (a sample within
+   Jaccard distance ``hi < 1`` shares a token with the probe value); the
+   exact determinant constraints then remove the false positives;
+3. the DR-index ``dom_pairs`` lookup on the sample's dependent value gives
+   the Section-3 candidate set ``cand(s[A_j])`` of domain values within
+   ``A_j.I``.
+
+The straightforward baselines take the same three steps without the indexes:
+step 2 scans all of R and step 3 scans the whole attribute domain, computing
+each Jaccard distance on the fly. One ``indexed`` flag selects the path, so
+the two differ only in the work the paper's indexes save.
 
 Frequencies are aggregated per (tuple, attribute, value) and normalized per
 Eq. (4); instances of multi-attribute-missing tuples are the per-attribute
 candidate cross product (capped + renormalized, DESIGN.md).
 
 ``impute_batch`` covers the cdd/dd/er flavors (they differ only in the rule
-set and whether the DR-index is used); ``impute_batch_con`` implements the
-constraint-based baseline [43], which imputes from the most similar complete
-tuple in the current *window* (no repository access).
+set and whether the DR-index is used) and makes no Spark call;
+``impute_batch_con`` implements the constraint-based baseline [43], which
+fills each missing attribute with its mode over the current *window* (no
+repository access).
 """
 from __future__ import annotations
 
+import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.core.instances import ImputedTuple, build_imputed_tuple, cap_instances
 from repro.core.pivot import AttributePivots
-from repro.core.similarity import jaccard_col, tokens_col
+from repro.core.similarity import jaccard_dist, tokens
 from repro.index.cdd_index import CDDIndex
 from repro.index.dr_index import DRIndex
 from repro.streams.stream_gen import ATTR_COLS, D
+
+#: Columns of the candidate-frequency table.
+FREQ_COLS = ["rid", "j", "v", "count"]
 
 
 @dataclass
 class ImputeStats:
     """Per-batch imputation accounting (break-up cost, Fig. 6)."""
 
-    t_select: float = 0.0     # CDD selection + sample retrieval (Spark action)
-    t_impute: float = 0.0     # candidate-value aggregation (Spark action)
+    t_select: float = 0.0     # CDD selection + sample retrieval
+    t_impute: float = 0.0     # candidate-value aggregation
     n_samples: int = 0        # matched (tuple, rule, sample) triples
     n_incomplete: int = 0
 
 
-def _pick(attr_col: Column, cols: list[Column]) -> Column:
-    """CASE chain selecting ``cols[attr]`` for a runtime attribute index."""
-    expr = F.lit(None)
-    for k in reversed(range(D)):
-        expr = F.when(attr_col == F.lit(k), cols[k]).otherwise(expr)
-    return expr
+class Sample(NamedTuple):
+    """A repository sample retrieved for one missing attribute by one rule."""
+
+    rid: int          # incomplete tuple
+    j: int            # missing (dependent) attribute
+    rule_id: int
+    sid: int          # repository sample
+    dep_lo: float     # the rule's dependent interval A_j.I
+    dep_hi: float
+    s_dep_val: str    # s[A_j]
 
 
-def _batch_features(spark: SparkSession, batch: pd.DataFrame) -> DataFrame:
-    """Tokenize every attribute of a micro-batch."""
-    sdf = spark.createDataFrame(batch[["rid"] + ATTR_COLS])
-    return sdf.select(
-        "rid", *[tokens_col(F.col(c)).alias(f"bt{k}") for k, c in enumerate(ATTR_COLS)]
-    )
+def _missing(v) -> bool:
+    return v is None or pd.isna(v)
 
 
 def retrieve_samples(
-    spark: SparkSession,
     batch: pd.DataFrame,
-    need: pd.DataFrame,
+    need: Iterable[tuple[int, int]],
     dr: DRIndex,
     cddx: CDDIndex,
     *,
     indexed: bool,
-) -> DataFrame:
-    """(rid, j, rule_id, sid, dep value) triples: which repository samples
-    each rule suggests for each missing attribute. The index join vs the
-    straightforward cross join is the TER-iDS vs CDD+ER distinction."""
-    feats = _batch_features(spark, batch)
-    need_sdf = spark.createDataFrame(need)  # rid, j
-    probe = need_sdf.join(feats, "rid").join(
-        F.broadcast(cddx.rules_df), F.col("j") == F.col("dep")
-    )
-    bt = [F.col(f"bt{k}") for k in range(D)]
-    # Determinants must be present on the incomplete tuple (paper: "attributes
-    # in X_i are non-missing").
-    probe = probe.where(F.size(_pick(F.col("x1"), bt)) > 0)
-    probe = probe.where(
-        F.col("x2").isNull() | (F.size(_pick(F.col("x2"), bt)) > 0)
-    )
-
-    if indexed:
-        # DR-index probe via token postings: any sample within Jaccard
-        # distance hi1 < 1 of r[x1] shares a token with it, so the postings
-        # join yields a complete candidate superset (no false negatives);
-        # duplicates from multi-token overlap are dropped before the exact
-        # constraint check. The probe side (batch x rules x tokens) is tiny
-        # and broadcast.
-        probe = probe.withColumn("ptok", F.explode(_pick(F.col("x1"), bt)))
-        cand = dr.repo_tok.join(
-            F.broadcast(probe),
-            (dr.repo_tok["attr"] == probe["x1"]) & (dr.repo_tok["tok"] == probe["ptok"]),
-        ).drop("attr", "tok", "ptok")
-        cand = cand.dropDuplicates(["rid", "j", "rule_id", "sid"])
-        cand = cand.join(dr.repo, "sid")
-    else:
-        cand = probe.crossJoin(dr.repo)
-
-    st = [F.col(f"t{k}") for k in range(D)]
-    d1 = F.lit(1.0) - jaccard_col(_pick(F.col("x1"), bt), _pick(F.col("x1"), st))
-    cand = cand.where((d1 >= F.col("lo1")) & (d1 <= F.col("hi1")))
-    d2 = F.lit(1.0) - jaccard_col(_pick(F.col("x2"), bt), _pick(F.col("x2"), st))
-    cand = cand.where(
-        F.col("x2").isNull() | ((d2 >= F.col("lo2")) & (d2 <= F.col("hi2")))
-    )
-    sval = [F.col(c) for c in ATTR_COLS]
-    return cand.select(
-        "rid",
-        "j",
-        "rule_id",
-        "sid",
-        "dep_lo",
-        "dep_hi",
-        _pick(F.col("j"), sval).alias("s_dep_val"),
-    )
+) -> list[Sample]:
+    """Which repository samples each rule suggests for each missing
+    attribute ``(rid, j)`` in ``need``. The postings probe vs the scan of
+    all of R is the TER-iDS vs CDD+ER distinction."""
+    bt = {
+        int(row[0]): [frozenset() if _missing(v) else tokens(v) for v in row[1:]]
+        for row in batch[["rid"] + ATTR_COLS].itertuples(index=False, name=None)
+    }
+    every_row = range(dr.n_samples)
+    out = []
+    for rid, j in need:
+        r = bt[rid]
+        for rule in cddx.by_dep.get(j, ()):
+            t1 = r[rule.x1]
+            # Determinants must be present on the incomplete tuple (paper:
+            # "attributes in X_i are non-missing").
+            if not t1 or (rule.x2 is not None and not r[rule.x2]):
+                continue
+            if indexed:
+                # A sample within distance hi1 < 1 of r[x1] shares a token
+                # with it, so the postings union has no false negatives.
+                rows = sorted({i for t in t1 for i in dr.postings.get((rule.x1, t), ())})
+            else:
+                rows = every_row
+            for i in rows:
+                s = dr.toks[i]
+                if not rule.lo1 <= jaccard_dist(t1, s[rule.x1]) <= rule.hi1:
+                    continue
+                if rule.x2 is not None and not (
+                    rule.lo2 <= jaccard_dist(r[rule.x2], s[rule.x2]) <= rule.hi2
+                ):
+                    continue
+                out.append(Sample(rid, j, rule.rule_id, dr.sids[i],
+                                  rule.dep_lo, rule.dep_hi, dr.values[i][j]))
+    return out
 
 
 def candidate_frequencies(
-    samples: DataFrame, dr: DRIndex, *, use_dom_index: bool = True
-) -> DataFrame:
-    """Aggregate candidate-value frequencies F(v) (Section 3).
+    samples: list[Sample], dr: DRIndex, *, use_dom_index: bool = True
+) -> pd.DataFrame:
+    """Aggregate candidate-value frequencies F(v) (Section 3) into a
+    ``FREQ_COLS`` table.
 
-    ``use_dom_index=True`` (TER-iDS / I_j+G_ER): equi-join the precomputed
-    ``dom_pairs`` table — the DR-index turns ``cand(s[A_j])`` into a lookup.
+    ``use_dom_index=True`` (TER-iDS / I_j+G_ER): look ``cand(s[A_j])`` up in
+    the precomputed ``dom_pairs``.
 
     ``use_dom_index=False`` (straightforward baselines): scan the whole
     attribute domain per retrieved sample and compute each Jaccard distance
     on the fly — the paper's straightforward method, whose cost is what the
-    index joins eliminate.
+    index eliminates.
 
     Frequencies are *vote-split*: each retrieved (rule, sample) contributes a
     total weight of 1, divided over its candidate set ``cand(s[A_j])``. This
@@ -144,27 +141,22 @@ def candidate_frequencies(
     neighbourhood cannot dilute the concentrated evidence of samples whose
     dependent values pinpoint the missing one — matching the paper's premise
     that CDD imputation concentrates probability mass on the right value.
+    Each value's weights are summed with ``math.fsum``, so the table does not
+    depend on the order of ``samples``.
     """
-    if use_dom_index:
-        dp = dr.dom_pairs
-        cands = dp.join(
-            F.broadcast(samples),
-            (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"]),
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        )
-    else:
-        dv = dr.dom_values
-        scan = dv.join(F.broadcast(samples), dv["attr"] == samples["j"])
-        dist = F.lit(1.0) - jaccard_col(
-            tokens_col(F.col("s_dep_val")), F.col("vtok")
-        )
-        cands = scan.withColumn("dist", dist).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        )
-    w = Window.partitionBy("rid", "j", "rule_id", "sid")
-    cands = cands.withColumn("weight", F.lit(1.0) / F.count(F.lit(1)).over(w))
-    return cands.groupBy("rid", "j", "v").agg(F.sum("weight").alias("count"))
+    weights: dict[tuple[int, int, str], list[float]] = defaultdict(list)
+    for s in samples:
+        if use_dom_index:
+            near = dr.dom_pairs.get((s.j, s.s_dep_val), ())
+        else:
+            u = tokens(s.s_dep_val)
+            near = ((v, jaccard_dist(u, vt)) for v, vt in dr.domains[s.j].items())
+        cands = [v for v, d in near if s.dep_lo <= d <= s.dep_hi]
+        for v in cands:
+            weights[(s.rid, s.j, v)].append(1.0 / len(cands))
+    return pd.DataFrame(
+        [(*key, math.fsum(w)) for key, w in weights.items()], columns=FREQ_COLS
+    )
 
 
 def assemble_instances(
@@ -190,7 +182,7 @@ def assemble_instances(
     out: list[ImputedTuple] = []
     for row in batch.itertuples(index=False):
         vals = [getattr(row, c) for c in ATTR_COLS]
-        missing = [k for k in range(D) if vals[k] is None or pd.isna(vals[k])]
+        missing = [k for k in range(D) if _missing(vals[k])]
         base = [None if k in missing else vals[k] for k in range(D)]
         if not missing:
             cands = [(tuple(base), 1.0)]
@@ -222,7 +214,6 @@ def assemble_instances(
 
 
 def impute_batch(
-    spark: SparkSession,
     batch: pd.DataFrame,
     dr: DRIndex,
     cddx: CDDIndex,
@@ -234,34 +225,23 @@ def impute_batch(
 ) -> tuple[list[ImputedTuple], ImputeStats]:
     """Impute one micro-batch via CDD/DD/editing rules (flavor = cddx rules)."""
     stats = ImputeStats()
-    need_rows = []
-    for row in batch.itertuples(index=False):
-        for k, c in enumerate(ATTR_COLS):
-            v = getattr(row, c)
-            if v is None or pd.isna(v):
-                need_rows.append((int(row.rid), k))
-    stats.n_incomplete = len({r for r, _ in need_rows})
-    if not need_rows:
-        tuples = assemble_instances(
-            batch, pd.DataFrame(columns=["rid", "j", "v", "count"]),
-            keywords=keywords, pivots=pivots, max_instances=max_instances,
-        )
-        return tuples, stats
+    need = [
+        (int(row[0]), k)
+        for row in batch[["rid"] + ATTR_COLS].itertuples(index=False, name=None)
+        for k, v in enumerate(row[1:])
+        if _missing(v)
+    ]
+    stats.n_incomplete = len({r for r, _ in need})
+    freq_pdf = pd.DataFrame(columns=FREQ_COLS)
+    if need:
+        t0 = time.perf_counter()
+        samples = retrieve_samples(batch, need, dr, cddx, indexed=indexed)
+        stats.n_samples = len(samples)
+        stats.t_select = time.perf_counter() - t0
 
-    need = pd.DataFrame(need_rows, columns=["rid", "j"])
-    t0 = time.perf_counter()
-    samples = retrieve_samples(
-        spark, batch, need, dr, cddx, indexed=indexed
-    ).persist()
-    stats.n_samples = samples.count()
-    stats.t_select = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    freq_pdf = candidate_frequencies(
-        samples, dr, use_dom_index=indexed
-    ).toPandas()
-    stats.t_impute = time.perf_counter() - t1
-    samples.unpersist()
+        t1 = time.perf_counter()
+        freq_pdf = candidate_frequencies(samples, dr, use_dom_index=indexed)
+        stats.t_impute = time.perf_counter() - t1
 
     tuples = assemble_instances(
         batch, freq_pdf, keywords=keywords, pivots=pivots,
@@ -322,7 +302,7 @@ def impute_batch_con(
                 if row[c] is None or pd.isna(row[c]):
                     filled.loc[idx, c] = modes.get(k)
     tuples = assemble_instances(
-        filled, pd.DataFrame(columns=["rid", "j", "v", "count"]),
+        filled, pd.DataFrame(columns=FREQ_COLS),
         keywords=keywords, pivots=pivots,
     )
     return tuples, stats

@@ -6,11 +6,12 @@ string. ``sim(r, r')`` is the *sum* of per-attribute Jaccard similarities
 ``1 - jaccard`` — a metric, which Lemmas 4.2/4.3 rely on via the triangle
 inequality.
 
-Three layers are provided:
-- python-set kernels (``jaccard``, ``sim_tuples``) for the refinement UDF and
-  unit tests against the paper's examples;
-- numpy batch kernels (``jaccard_matrix_tokens``) for pivot selection;
-- Spark Column builders (``jaccard_col``) for the dataflow pipeline.
+Two layers are provided:
+- python-set kernels (``tokens``, ``jaccard``, ``sim_tuples``) for pivot
+  selection, the DR-index build, imputation, refinement and unit tests
+  against the paper's examples;
+- Spark Column builders (``jaccard_col``) for rule detection and the
+  baselines' exact ER.
 """
 from __future__ import annotations
 

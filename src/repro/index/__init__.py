@@ -1,6 +1,8 @@
-"""Indexes and synopses (paper Section 5.1-5.2).
+"""Indexes and synopses (paper Section 5.1-5.2), all held on the driver.
 
 aR-trees are realized as two-level bucketed structures (DESIGN.md §2.3):
 root = buckets/cells carrying the paper's aggregates, leaves = members.
-Probing is a Spark join on bucket keys plus aggregate-bound filters.
+The CDD-index is rule rows per dependent attribute; the DR-index probes R
+through token postings and a precomputed ``dom_pairs`` table; the ER-grid
+evaluates the aggregate bounds with numpy.
 """

@@ -1,54 +1,50 @@
 """CDD-index ``I_j`` over detected CDD rules (paper §5.1, Figure 2).
 
 Rule counts are tens per dependent attribute, so the lattice + aR-tree
-structure is realized as a broadcastable flat rule table: the imputation
-probe joins it on the missing (dependent) attribute and then checks each
-rule's determinant constraints exactly.
+structure is realized as flat rule rows on the driver, grouped by dependent
+attribute: the imputation probe looks up the rules of the missing attribute
+and then checks each rule's determinant constraints exactly.
 
 Rules with up to two determinant constraints (lattice levels 1-2) are encoded
 flat: ``(rule_id, dep, x1, lo1, hi1, x2, lo2, hi2, dep_lo, dep_hi)`` with the
-second constraint nullable.
+second constraint ``None`` for level-1 rules.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import (
-    DoubleType,
-    IntegerType,
-    StructField,
-    StructType,
-)
+from typing import NamedTuple
 
 from repro.core.cdd import CDDRule
 
-_SCHEMA = StructType(
-    [
-        StructField("rule_id", IntegerType()),
-        StructField("dep", IntegerType()),
-        StructField("x1", IntegerType()),
-        StructField("lo1", DoubleType()),
-        StructField("hi1", DoubleType()),
-        StructField("x2", IntegerType(), nullable=True),
-        StructField("lo2", DoubleType(), nullable=True),
-        StructField("hi2", DoubleType(), nullable=True),
-        StructField("dep_lo", DoubleType()),
-        StructField("dep_hi", DoubleType()),
-    ]
-)
+
+class RuleRow(NamedTuple):
+    """One rule: determinant constraints ``x1`` (and ``x2``) and the
+    dependent interval ``[dep_lo, dep_hi]``."""
+
+    rule_id: int
+    dep: int
+    x1: int
+    lo1: float
+    hi1: float
+    x2: int | None
+    lo2: float | None
+    hi2: float | None
+    dep_lo: float
+    dep_hi: float
 
 
 @dataclass
 class CDDIndex:
-    """Flat rule table + the driver-side rules it encodes."""
+    """Rule rows grouped by dependent attribute."""
 
-    rules_df: DataFrame                 # flat rule table (broadcast side)
-    rules: dict[int, list[CDDRule]]     # driver-side rules by dependent
-    n_rules: int
+    by_dep: dict[int, list[RuleRow]]
+
+    @property
+    def n_rules(self) -> int:
+        return sum(len(rs) for rs in self.by_dep.values())
 
 
-def rules_to_rows(rules: dict[int, list[CDDRule]]) -> list[tuple]:
+def rules_to_rows(rules: dict[int, list[CDDRule]]) -> list[RuleRow]:
     rows = []
     rid = 0
     for dep, rs in sorted(rules.items()):
@@ -61,7 +57,7 @@ def rules_to_rows(rules: dict[int, list[CDDRule]]) -> list[tuple]:
             c1 = cs[0]
             c2 = cs[1] if len(cs) == 2 else None
             rows.append(
-                (
+                RuleRow(
                     rid,
                     dep,
                     c1.attr,
@@ -78,11 +74,9 @@ def rules_to_rows(rules: dict[int, list[CDDRule]]) -> list[tuple]:
     return rows
 
 
-def build_cdd_index(
-    spark: SparkSession, rules: dict[int, list[CDDRule]]
-) -> CDDIndex:
+def build_cdd_index(rules: dict[int, list[CDDRule]]) -> CDDIndex:
     """Build the CDD-index (offline phase)."""
-    rows = rules_to_rows(rules)
-    rules_df = spark.createDataFrame(rows, schema=_SCHEMA).coalesce(1).persist()
-    n = rules_df.count()
-    return CDDIndex(rules_df=rules_df, rules=rules, n_rules=n)
+    by_dep: dict[int, list[RuleRow]] = {}
+    for row in rules_to_rows(rules):
+        by_dep.setdefault(row.dep, []).append(row)
+    return CDDIndex(by_dep)

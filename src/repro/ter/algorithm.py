@@ -15,14 +15,15 @@ Methods (paper §6.1):
               passes and only the grid-native prunes (topic keyword +
               token-size similarity UB) are applied — no shared pivot work,
               no probability/instance-level pruning, full exact refinement.
-- ``cdd_er``  CDD rules, no indexes: cross-join imputation + all-pairs exact ER.
+- ``cdd_er``  CDD rules, no indexes: full-scan imputation + all-pairs exact ER.
 - ``dd_er``   DD rules (looser), no indexes.
 - ``er_er``   editing rules, no indexes.
 - ``con_er``  constraint-based window imputation [43], all-pairs exact ER.
 
 Warmup always retrieves imputation samples through the DR-index regardless of
-method — the index probe is *exactly* equivalent to the cross join (asserted
-by tests), and warmup is never measured, so this only bounds setup cost.
+method — the postings probe is *exactly* equivalent to a scan of all of R
+(asserted by tests), and warmup is never measured, so this only bounds setup
+cost.
 """
 from __future__ import annotations
 
@@ -75,16 +76,6 @@ class Prepared:
     cddx: object | None
     dr: object | None
     keywords: list[str]
-    owns_dr: bool = True
-
-    def unpersist(self) -> None:
-        if self.dr is not None and self.owns_dr:
-            self.dr.unpersist()
-        if self.cddx is not None:
-            try:
-                self.cddx.rules_df.unpersist()
-            except Exception:
-                pass
 
 
 @dataclass
@@ -155,8 +146,7 @@ def prepare(
     if profile is None:
         profile = sample_pair_profile(spark, ds.repository, seed=cfg.seed)
     rules = detect_rules(spark, ds.repository, flavor=_FLAVOR[method], profile=profile)
-    cddx = build_cdd_index(spark, rules)
-    owns = dr is None
+    cddx = build_cdd_index(rules)
     if dr is None:
         dr = build_dr_index(
             spark,
@@ -165,7 +155,7 @@ def prepare(
             n_buckets=cfg.pivot_buckets,
             max_dep_hi=DOM_PAIRS_CUTOFF,
         )
-    return Prepared(method, pivots, cddx, dr, keywords, owns_dr=owns)
+    return Prepared(method, pivots, cddx, dr, keywords)
 
 
 def _impute(
@@ -177,7 +167,7 @@ def _impute(
             spark, batch, state.values, prep.pivots, keywords=prep.keywords
         )
     return impute_batch(
-        spark, batch, prep.dr, prep.cddx, prep.pivots,
+        batch, prep.dr, prep.cddx, prep.pivots,
         keywords=prep.keywords,
         indexed=force_indexed or method in ("ter", "ij_ger"),
         max_instances=cfg.max_instances,

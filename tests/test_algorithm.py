@@ -1,8 +1,8 @@
 """End-to-end TER-iDS runs: method equivalence, pruning stats, F-score.
 
 The strongest invariant: TER-iDS, I_j+G_ER and CDD+ER share the identical
-CDD imputation (indexed sample retrieval is exactly equivalent to the cross
-join) and the pruning/grid stages are safe — so all three must emit the
+CDD imputation (indexed sample retrieval is exactly equivalent to a scan of
+all of R) and the pruning/grid stages are safe — so all three must emit the
 *same result pair set*; they differ only in how much work they do.
 """
 import pytest
@@ -19,17 +19,13 @@ MAX_BATCHES = 2
 @pytest.fixture(scope="module")
 def runs(spark, small_ds, small_cfg):
     """Run every method once on the small dataset. The profile, pivots and
-    one DR-index are shared across methods."""
+    one DR-index are shared across methods, and one rule set per flavor."""
     ctx = Context(spark, small_ds, small_cfg)
-    out = {
+    return {
         m: run_stream(spark, small_ds, small_cfg, ctx.prep(spark, small_cfg, m),
                       max_batches=MAX_BATCHES)
         for m in METHODS
     }
-    yield out
-    for p in ctx.preps.values():
-        p.unpersist()
-    ctx.dr.unpersist()
 
 
 class TestRunBasics:

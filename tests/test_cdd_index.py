@@ -61,17 +61,14 @@ class TestRowsEncoding:
 
 
 class TestBuildIndex:
-    def test_build(self, spark):
-        idx = build_cdd_index(spark, _rules())
-        try:
-            assert idx.n_rules == 3
-            assert sorted(r["dep"] for r in idx.rules_df.collect()) == [1, 1, 2]
-        finally:
-            idx.rules_df.unpersist()
+    def test_build(self):
+        idx = build_cdd_index(_rules())
+        assert idx.n_rules == 3
+        assert sorted(idx.by_dep) == [1, 2]
+        assert [r.rule_id for r in idx.by_dep[1]] == [0, 1]
+        assert all(r.dep == dep for dep, rs in idx.by_dep.items() for r in rs)
 
-    def test_empty_rules(self, spark):
-        idx = build_cdd_index(spark, {0: []})
-        try:
-            assert idx.n_rules == 0
-        finally:
-            idx.rules_df.unpersist()
+    def test_empty_rules(self):
+        idx = build_cdd_index({0: []})
+        assert idx.n_rules == 0
+        assert idx.by_dep.get(0, []) == []

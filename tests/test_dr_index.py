@@ -1,9 +1,9 @@
-"""DR-index tests: pivot distances, bucketing, and dom_pairs vs brute force."""
+"""DR-index tests: tokenized repository, postings, domains, and dom_pairs
+vs brute force."""
 import itertools
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.pivot import select_all_pivots
 from repro.core.similarity import jaccard_dist, tokens
@@ -24,40 +24,41 @@ def tiny_repo():
     )
 
 
-@pytest.fixture(scope="module")
-def tiny_index(spark, tiny_repo):
-    pivots = select_all_pivots(
-        {k: tiny_repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
+def _pivots(repo):
+    return select_all_pivots(
+        {k: repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
     )
-    dr = build_dr_index(spark, tiny_repo, pivots, n_buckets=5, max_dep_hi=0.8,
-                        df_cap_frac=1.0)
-    yield dr, pivots
-    dr.unpersist()
+
+
+@pytest.fixture(scope="module")
+def tiny_index(tiny_repo):
+    return build_dr_index(None, tiny_repo, _pivots(tiny_repo), n_buckets=5,
+                          max_dep_hi=0.8, df_cap_frac=1.0)
 
 
 class TestBuild:
     def test_counts(self, tiny_index, tiny_repo):
-        dr, _ = tiny_index
+        dr = tiny_index
         assert dr.n_samples == len(tiny_repo)
-        assert dr.repo.count() == len(tiny_repo)
+        assert dr.sids == tiny_repo["sid"].tolist()
 
-    def test_pivot_distances_match_python(self, tiny_index, tiny_repo):
-        dr, pivots = tiny_index
-        rows = {r["sid"]: r for r in dr.repo.collect()}
-        for t in tiny_repo.itertuples(index=False):
-            for k, c in enumerate(ATTR_COLS):
-                expect = jaccard_dist(tokens(getattr(t, c)), pivots[k].main_tokens)
-                assert rows[t.sid][f"pd{k}"] == pytest.approx(expect)
-
-    def test_buckets_consistent(self, tiny_index):
-        dr, _ = tiny_index
-        for r in dr.repo.collect():
-            for k in range(D):
-                b = min(dr.n_buckets - 1, int(r[f"pd{k}"] * dr.n_buckets))
-                assert r[f"pb{k}"] == b
+    def test_postings_complete(self, tiny_index, tiny_repo):
+        """Every token of every repository value posts its row, and nothing
+        else is posted."""
+        dr = tiny_index
+        expect = {
+            (k, t, i)
+            for i, row in enumerate(tiny_repo[ATTR_COLS].itertuples(index=False))
+            for k in range(D)
+            for t in tokens(row[k])
+        }
+        got = {(k, t, i) for (k, t), rows in dr.postings.items() for i in rows}
+        assert got == expect
+        for i, row in enumerate(tiny_repo[ATTR_COLS].itertuples(index=False)):
+            assert dr.toks[i] == tuple(tokens(v) for v in row)
 
     def test_domains(self, tiny_index, tiny_repo):
-        dr, _ = tiny_index
+        dr = tiny_index
         for k, c in enumerate(ATTR_COLS):
             assert sorted(dr.domains[k]) == sorted(tiny_repo[c].unique())
 
@@ -65,9 +66,10 @@ class TestBuild:
 class TestDomPairs:
     def test_matches_bruteforce(self, tiny_index, tiny_repo):
         """dom_pairs (with df_cap disabled) == exhaustive pairs within cutoff."""
-        dr, _ = tiny_index
         got = {
-            (r["attr"], r["u"], r["v"]): r["dist"] for r in dr.dom_pairs.collect()
+            (k, u, v): d
+            for (k, u), lst in tiny_index.dom_pairs.items()
+            for v, d in lst
         }
         for k, c in enumerate(ATTR_COLS):
             dom = tiny_repo[c].unique().tolist()
@@ -80,24 +82,31 @@ class TestDomPairs:
                     assert (k, u, v) not in got
 
     def test_identity_pairs_present(self, tiny_index, tiny_repo):
-        dr, _ = tiny_index
-        ident = dr.dom_pairs.where(
-            (F.col("u") == F.col("v")) & (F.col("dist") == 0.0)
-        ).count()
+        ident = sum(
+            (u, 0.0) in lst for (_, u), lst in tiny_index.dom_pairs.items()
+        )
         n_dom = sum(len(tiny_repo[c].unique()) for c in ATTR_COLS)
         assert ident == n_dom
 
-    def test_hot_token_capping_keeps_identity(self, spark, tiny_repo):
+    def test_hot_token_capping_keeps_identity(self, tiny_repo):
         """Even with an aggressive df cap, identity pairs survive."""
-        pivots = select_all_pivots(
-            {k: tiny_repo[c].tolist() for k, c in enumerate(ATTR_COLS)}, emin=0.0
-        )
         dr = build_dr_index(
-            spark, tiny_repo, pivots, n_buckets=5, max_dep_hi=0.8, df_cap_frac=0.0
+            None, tiny_repo, _pivots(tiny_repo), n_buckets=5, max_dep_hi=0.8,
+            df_cap_frac=0.0,
         )
-        try:
-            ident = dr.dom_pairs.where(F.col("u") == F.col("v")).count()
-            n_dom = sum(len(tiny_repo[c].unique()) for c in ATTR_COLS)
-            assert ident == n_dom
-        finally:
-            dr.unpersist()
+        ident = sum(any(v == u for v, _ in lst) for (_, u), lst in dr.dom_pairs.items())
+        n_dom = sum(len(tiny_repo[c].unique()) for c in ATTR_COLS)
+        assert ident == n_dom
+
+    def test_hot_token_not_a_join_key(self):
+        """A token held by more than ``df_cap`` (at least 20) values of its
+        attribute joins no pair; a rarer shared token still does."""
+        vals = [f"hot w{i}" for i in range(25)] + ["hot w0 rare", "rare x"]
+        repo = pd.DataFrame({"sid": range(len(vals)),
+                             **{c: vals for c in ATTR_COLS}})
+        dr = build_dr_index(None, repo, _pivots(repo), max_dep_hi=0.8)
+        near = dict(dr.dom_pairs[(0, "hot w1")])
+        assert set(near) == {"hot w1"}                 # "hot w2" shares only "hot"
+        near = dict(dr.dom_pairs[(0, "hot w0 rare")])
+        assert near["rare x"] == pytest.approx(0.75)   # shares "rare"
+        assert near["hot w0"] == pytest.approx(1 / 3)  # shares the rare "w0"

@@ -1,12 +1,13 @@
-"""Imputation pipeline tests (Section 3 as Spark joins).
+"""Imputation kernel tests (Section 3, on the driver).
 
 Key invariant: the DR-index token-postings probe must return exactly the same
-candidate frequencies as the straightforward cross join (the index introduces
-no false negatives) — this is the correctness contract of the index join.
+samples as the straightforward scan of all of R (the index introduces no
+false negatives) — this is the correctness contract of the index probe.
 """
+import random
+
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.imputation import (
     candidate_frequencies,
@@ -14,6 +15,8 @@ from repro.core.imputation import (
     impute_batch_con,
     retrieve_samples,
 )
+from repro.core.similarity import jaccard_dist, tokens
+from repro.index.cdd_index import CDDIndex
 from repro.oracle import assert_equivalent
 from repro.streams.stream_gen import ATTR_COLS
 
@@ -29,101 +32,125 @@ def batch(small_ds):
 
 @pytest.fixture(scope="module")
 def need(batch):
-    rows = []
-    for row in batch.itertuples(index=False):
-        for k, c in enumerate(ATTR_COLS):
-            if pd.isna(getattr(row, c)):
-                rows.append((int(row.rid), k))
-    return pd.DataFrame(rows, columns=["rid", "j"])
+    return [
+        (int(row.rid), k)
+        for row in batch.itertuples(index=False)
+        for k, c in enumerate(ATTR_COLS)
+        if pd.isna(getattr(row, c))
+    ]
+
+
+@pytest.fixture(scope="module")
+def samples(batch, need, prepared_ter):
+    p = prepared_ter
+    return retrieve_samples(batch, need, p.dr, p.cddx, indexed=True)
+
+
+def _dom_pairs_frame(dr) -> pd.DataFrame:
+    return pd.DataFrame(
+        [(k, u, v, d) for (k, u), lst in dr.dom_pairs.items() for v, d in lst],
+        columns=["attr", "u", "v", "dist"],
+    )
+
+
+def _job_mark(spark) -> int:
+    """Highest Spark job id so far."""
+    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
+    return max(ids) if ids else -1
 
 
 class TestRetrieveSamples:
-    def test_indexed_equals_unindexed(self, spark, batch, need, prepared_ter):
-        """Postings-probe candidates == cross-join candidates, exactly."""
+    def test_indexed_equals_unindexed(self, batch, need, prepared_ter, samples):
+        """Postings-probe samples == samples from a scan of all of R, exactly."""
         p = prepared_ter
-        kw = dict(dr=p.dr, cddx=p.cddx)
-        a = retrieve_samples(spark, batch, need, indexed=True, **kw)
-        b = retrieve_samples(spark, batch, need, indexed=False, **kw)
-        key = ["rid", "j", "rule_id", "sid"]
-        pa = a.select(*key).distinct().toPandas().sort_values(key).reset_index(drop=True)
-        pb = b.select(*key).distinct().toPandas().sort_values(key).reset_index(drop=True)
-        pd.testing.assert_frame_equal(pa, pb)
+        full = retrieve_samples(batch, need, p.dr, p.cddx, indexed=False)
+        assert samples
+        assert sorted(samples) == sorted(full)
 
-    def test_samples_satisfy_constraints(self, spark, batch, need, prepared_ter):
+    def test_samples_satisfy_constraints(self, batch, prepared_ter, samples):
         """Every retrieved (tuple, rule, sample) satisfies the rule's
-        determinant constraints (checked against driver-side rule objects)."""
-        from repro.core.similarity import jaccard_dist, tokens
-
+        determinant constraints and carries the sample's dependent value."""
         p = prepared_ter
-        got = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, indexed=True
-        ).toPandas()
-        rules_flat = p.cddx.rules_df.toPandas().set_index("rule_id")
-        repo = p.dr.repo.select("sid", *ATTR_COLS).toPandas().set_index("sid")
+        rules = {r.rule_id: r for rs in p.cddx.by_dep.values() for r in rs}
+        repo = dict(zip(p.dr.sids, p.dr.values))
         bt = batch.set_index("rid")
-        for row in got.head(200).itertuples(index=False):
-            rule = rules_flat.loc[row.rule_id]
-            s = repo.loc[row.sid]
+        for row in samples:
+            rule = rules[row.rule_id]
+            s = repo[row.sid]
             r = bt.loc[row.rid]
+            assert rule.dep == row.j and s[row.j] == row.s_dep_val
             for x, lo, hi in [(rule.x1, rule.lo1, rule.hi1), (rule.x2, rule.lo2, rule.hi2)]:
-                if pd.isna(x):
+                if x is None:
                     continue
-                x = int(x)
-                d = jaccard_dist(tokens(r[ATTR_COLS[x]]), tokens(s[ATTR_COLS[x]]))
+                d = jaccard_dist(tokens(r[ATTR_COLS[x]]), tokens(s[x]))
                 assert lo - 1e-9 <= d <= hi + 1e-9
+
+    def test_empty_string_determinant_skipped(self, batch, prepared_ter):
+        """An empty-string determinant has no tokens: its rules are skipped."""
+        p = prepared_ter
+        row = batch.iloc[[0]].copy()
+        j = next(k for k, c in enumerate(ATTR_COLS) if pd.isna(row.iloc[0][c]))
+        empty = {k for k, c in enumerate(ATTR_COLS) if k != j}
+        for k in empty:
+            row[ATTR_COLS[k]] = ""
+        got = retrieve_samples(row, [(int(row.iloc[0]["rid"]), j)], p.dr, p.cddx,
+                               indexed=True)
+        assert got == []
 
 
 class TestCandidateFrequencies:
-    def test_oracle_frequency_aggregation(self, spark, batch, need, prepared_ter):
-        """The groupBy-count aggregation is oracle-checked against DuckDB
-        over the materialized (rid, j, v) candidate rows."""
-        p = prepared_ter
-        samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, indexed=True
-        )
-        dp = p.dr.dom_pairs
-        cand_rows = samples.join(
-            dp, (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"])
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        ).select("rid", "j", "rule_id", "sid", "v")
-        freqs = candidate_frequencies(samples, p.dr).withColumnRenamed("count", "f")
+    def test_oracle_frequency_aggregation(self, prepared_ter, samples):
+        """The vote-split aggregation is oracle-checked against DuckDB, which
+        joins the samples with ``dom_pairs`` itself."""
+        freqs = candidate_frequencies(samples, prepared_ter.dr).rename(
+            columns={"count": "f"})
+        assert len(freqs)
         assert_equivalent(
             freqs,
             """
             SELECT rid, j, v, SUM(w) AS f FROM (
-              SELECT rid, j, v,
-                     1.0 / COUNT(*) OVER (PARTITION BY rid, j, rule_id, sid) AS w
-              FROM cand
+              SELECT s.rid, s.j, p.v,
+                     1.0 / COUNT(*) OVER (PARTITION BY s.rid, s.j, s.rule_id, s.sid) AS w
+              FROM samples s JOIN dom_pairs p
+                ON p.attr = s.j AND p.u = s.s_dep_val
+              WHERE p.dist BETWEEN s.dep_lo AND s.dep_hi
             ) GROUP BY rid, j, v
             """,
-            cand=cand_rows,
+            samples=pd.DataFrame(samples),
+            dom_pairs=_dom_pairs_frame(prepared_ter.dr),
         )
 
-    def test_candidates_within_dep_interval(self, spark, batch, need, prepared_ter):
-        from repro.core.similarity import jaccard_dist, tokens
+    def test_candidates_within_dep_interval(self, prepared_ter, samples):
+        dr = prepared_ter.dr
+        n = 0
+        for s in samples:
+            for v, d in dr.dom_pairs.get((s.j, s.s_dep_val), ()):
+                if s.dep_lo <= d <= s.dep_hi:
+                    assert d == jaccard_dist(tokens(s.s_dep_val), tokens(v))
+                    n += 1
+        assert n
 
-        p = prepared_ter
-        samples = retrieve_samples(
-            spark, batch, need, p.dr, p.cddx, indexed=True
-        )
-        dp = p.dr.dom_pairs
-        rows = samples.join(
-            dp, (dp["attr"] == samples["j"]) & (dp["u"] == samples["s_dep_val"])
-        ).where(
-            (F.col("dist") >= F.col("dep_lo")) & (F.col("dist") <= F.col("dep_hi"))
-        ).select("s_dep_val", "v", "dep_lo", "dep_hi").limit(100).collect()
-        assert rows
-        for r in rows:
-            d = jaccard_dist(tokens(r["s_dep_val"]), tokens(r["v"]))
-            assert r["dep_lo"] - 1e-9 <= d <= r["dep_hi"] + 1e-9
+    def test_sample_order_irrelevant(self, prepared_ter, samples):
+        """Shuffling the samples gives an identical frequency table."""
+        dr = prepared_ter.dr
+        shuffled = list(samples)
+        random.Random(3).shuffle(shuffled)
+        key = ["rid", "j", "v"]
+        for indexed in (True, False):
+            a = candidate_frequencies(samples, dr, use_dom_index=indexed)
+            b = candidate_frequencies(shuffled, dr, use_dom_index=indexed)
+            pd.testing.assert_frame_equal(
+                a.sort_values(key).reset_index(drop=True),
+                b.sort_values(key).reset_index(drop=True),
+                check_exact=True,
+            )
 
 
 class TestImputeBatch:
-    def test_instances_probabilities(self, spark, batch, prepared_ter, small_cfg):
+    def test_instances_probabilities(self, batch, prepared_ter, small_cfg):
         p = prepared_ter
         tuples, stats = impute_batch(
-            spark, batch, p.dr, p.cddx, p.pivots,
+            batch, p.dr, p.cddx, p.pivots,
             keywords=p.keywords, indexed=True,
             max_instances=small_cfg.max_instances,
         )
@@ -134,10 +161,10 @@ class TestImputeBatch:
             assert 1 <= len(t.instances) <= small_cfg.max_instances
             assert sum(i.p for i in t.instances) == pytest.approx(1.0)
 
-    def test_complete_tuples_single_instance(self, spark, batch, prepared_ter):
+    def test_complete_tuples_single_instance(self, batch, prepared_ter):
         p = prepared_ter
         tuples, _ = impute_batch(
-            spark, batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
+            batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
         )
         comp_rids = set(
             batch[~batch[ATTR_COLS].isna().any(axis=1)]["rid"].astype(int)
@@ -148,20 +175,20 @@ class TestImputeBatch:
                 assert t.instances[0].p == 1.0
 
     def test_imputation_recovers_truth_for_covered_entities(
-        self, spark, small_ds, prepared_ter
+        self, small_ds, prepared_ter
     ):
         """For incomplete tuples whose entity is covered by R, some imputed
         instance should be close to the true (pre-corruption) value.
         Uncovered entities have no basis for imputation (the eta trend of
         Fig. 14: more coverage -> better accuracy)."""
-        from repro.core.similarity import jaccard, tokens
+        from repro.core.similarity import jaccard
 
         p = prepared_ter
         covered = set(small_ds.repository["entity_id"])
         s = small_ds.stream
         inc = s[s[ATTR_COLS].isna().any(axis=1) & s["entity_id"].isin(covered)].head(40)
         tuples, _ = impute_batch(
-            spark, inc, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
+            inc, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
         )
         comp = small_ds.complete.set_index("rid")
         hits = tried = 0
@@ -179,15 +206,55 @@ class TestImputeBatch:
         assert tried >= 5
         assert hits / tried > 0.5
 
-    def test_no_missing_short_circuit(self, spark, batch, prepared_ter):
+    def test_no_missing_short_circuit(self, batch, prepared_ter):
         p = prepared_ter
         comp = batch[~batch[ATTR_COLS].isna().any(axis=1)]
         tuples, stats = impute_batch(
-            spark, comp, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
+            comp, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=True
         )
         assert stats.n_incomplete == 0
         assert stats.t_select == 0.0
         assert len(tuples) == len(comp)
+
+    def test_all_missing_tuple_one_none_instance(self, batch, prepared_ter):
+        """No determinant is present, so no rule applies: one instance with
+        every attribute ``None``."""
+        p = prepared_ter
+        row = batch.iloc[[0]].copy()
+        for c in ATTR_COLS:
+            row[c] = None
+        for indexed in (True, False):
+            (t,), stats = impute_batch(
+                row, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=indexed
+            )
+            assert stats.n_incomplete == 1 and stats.n_samples == 0
+            assert len(t.instances) == 1
+            assert t.instances[0].attrs == (None,) * len(ATTR_COLS)
+            assert t.instances[0].p == 1.0
+
+    def test_missing_attribute_without_rule_stays_none(self, batch, prepared_ter):
+        p = prepared_ter
+        inc = batch[batch[ATTR_COLS].isna().any(axis=1)]
+        no_rules = CDDIndex({})
+        tuples, stats = impute_batch(
+            inc, p.dr, no_rules, p.pivots, keywords=p.keywords, indexed=True
+        )
+        assert stats.n_samples == 0
+        for t, row in zip(tuples, inc.itertuples(index=False)):
+            (inst,) = t.instances
+            for k, c in enumerate(ATTR_COLS):
+                expect = None if pd.isna(getattr(row, c)) else getattr(row, c)
+                assert inst.attrs[k] == expect
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_no_spark_jobs(self, spark, batch, prepared_ter, indexed):
+        p = prepared_ter
+        before = _job_mark(spark)
+        _, stats = impute_batch(
+            batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=indexed
+        )
+        assert stats.n_samples > 0
+        assert _job_mark(spark) == before
 
 
 class TestConImputer:
