@@ -10,8 +10,8 @@ Two layers are provided:
 - python-set kernels (``tokens``, ``jaccard``, ``sim_tuples``) for pivot
   selection, the DR-index build, imputation, refinement and unit tests
   against the paper's examples;
-- Spark Column builders (``jaccard_col``) for rule detection and the
-  baselines' exact ER.
+- Spark Column builders (``tokens_col``, ``jaccard_col``) for rule
+  detection.
 """
 from __future__ import annotations
 

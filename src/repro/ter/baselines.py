@@ -2,20 +2,19 @@
 
 The CDD+ER / DD+ER / er+ER / con+ER baselines perform the ER step as the
 straightforward method (paper §2.3): every cross-stream (new, window) pair is
-evaluated exactly — all instance pairs, no index, no pruning. This is
-expressed as a Spark instance-level cross join: explode both sides to
-instances, compute Eq. (1) with Catalyst array expressions, aggregate
-Eq. (2) per pair and threshold on alpha.
+evaluated exactly — all instance pairs, no index, no pruning. This is a
+driver loop that calls, for every such pair, the Eq. (2) kernel that TER-iDS
+refines with (``core/probability.py::pr_ter_ids``), without the Theorem-4.4
+early stop. So Eq. (2) has one implementation, and the baselines and TER-iDS
+run on the same substrate and differ only in how many pairs they evaluate.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.instances import ImputedTuple
-from repro.core.similarity import jaccard_col, tokens_col
-from repro.streams.stream_gen import ATTR_COLS, D
+from repro.core.probability import pr_ter_ids
+from repro.streams.stream_gen import D
 
 _INST_COLS = ["rid", "stream_id", "p", "has_kw"] + [f"v{k}" for k in range(D)]
 
@@ -32,61 +31,30 @@ def instances_frame(tuples: list[ImputedTuple]) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=_INST_COLS)
 
 
-def _tokenized(spark: SparkSession, inst: pd.DataFrame, prefix: str) -> DataFrame:
-    sdf = spark.createDataFrame(inst)
-    cols = [
-        F.col("rid").alias(f"{prefix}rid"),
-        F.col("stream_id").alias(f"{prefix}sid"),
-        F.col("p").alias(f"{prefix}p"),
-        F.col("has_kw").alias(f"{prefix}kw"),
-    ]
-    for k in range(D):
-        cols.append(tokens_col(F.col(f"v{k}")).alias(f"{prefix}t{k}"))
-    return sdf.select(*cols)
-
-
 def exact_er_spark(
-    spark: SparkSession,
-    new_inst: pd.DataFrame,
-    pool_inst: pd.DataFrame,
+    new: list[ImputedTuple],
+    pool: list[ImputedTuple],
     *,
     gamma: float,
     alpha: float,
-    dedupe_new: bool = True,
-) -> pd.DataFrame:
+) -> list[tuple[int, int, float]]:
     """All-pairs exact Eq. (2) between new tuples and a pool of tuples.
 
-    ``pool_inst`` may include the new tuples themselves (same-batch pairs);
-    with ``dedupe_new`` each unordered pair is counted once (pool rid < new
-    rid when both are new). Returns (rid_n, rid_m, pr) with pr > alpha.
+    ``pool`` may include the new tuples themselves (same-batch pairs); each
+    unordered pair is then counted once (pool rid < new rid when both are
+    new). Only ``rid``, ``stream_id`` and ``instances`` of a tuple are read.
+    Returns (rid_n, rid_m, pr) with pr > alpha.
+
+    The name stays because the streambench probe times the baselines' ER
+    under it.
     """
-    if new_inst.empty or pool_inst.empty:
-        return pd.DataFrame(columns=["rid_n", "rid_m", "pr"])
-    # Coalesce both sides: a cross join multiplies partition counts, and a
-    # 16x16=256-task shuffle of a few thousand rows would measure scheduler
-    # overhead rather than the baseline's quadratic work.
-    left = _tokenized(spark, new_inst, "n_")
-    right = _tokenized(spark, pool_inst, "m_").coalesce(8)
-    pairs = right.crossJoin(F.broadcast(left)).where(
-        F.col("n_sid") != F.col("m_sid")
-    )
-    new_rids = set(new_inst["rid"].tolist())
-    if dedupe_new and (set(pool_inst["rid"].tolist()) & new_rids):
-        is_new_m = F.col("m_rid").isin([int(r) for r in new_rids])
-        pairs = pairs.where(~is_new_m | (F.col("m_rid") < F.col("n_rid")))
-    sim = sum(
-        jaccard_col(F.col(f"n_t{k}"), F.col(f"m_t{k}")) for k in range(D)
-    )
-    match = (F.col("n_kw") | F.col("m_kw")) & (sim > gamma)
-    contrib = F.when(match, F.col("n_p") * F.col("m_p")).otherwise(F.lit(0.0))
-    out = (
-        pairs.groupBy("n_rid", "m_rid")
-        .agg(F.sum(contrib).alias("pr"))
-        .where(F.col("pr") > alpha)
-        .select(
-            F.col("n_rid").alias("rid_n"),
-            F.col("m_rid").alias("rid_m"),
-            "pr",
-        )
-    )
-    return out.toPandas()
+    new_rids = {t.rid for t in new}
+    out = []
+    for n in new:
+        for m in pool:
+            if m.stream_id == n.stream_id or (m.rid in new_rids and m.rid >= n.rid):
+                continue
+            pr = pr_ter_ids(n.instances, m.instances, gamma)
+            if pr > alpha:
+                out.append((n.rid, m.rid, pr))
+    return out

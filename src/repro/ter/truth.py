@@ -15,11 +15,14 @@ system see identical pair populations.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.config import TERConfig
-from repro.core.similarity import sim_tuples, tokens
+from repro.core.probability import Instance
+from repro.core.similarity import tokens
 from repro.streams.stream_gen import ATTR_COLS, Dataset
 from repro.streams.window import sliding_batches
 from repro.ter.baselines import exact_er_spark
@@ -30,6 +33,22 @@ def _kw_flags(df: pd.DataFrame, keywords: list[str]) -> pd.Series:
     def has(row) -> bool:
         return any(bool(tokens(row[c]) & kws) for c in ATTR_COLS)
     return df.apply(has, axis=1)
+
+
+class _Complete(NamedTuple):
+    """A complete tuple as the exact-ER kernel reads it: one instance, p = 1."""
+
+    rid: int
+    stream_id: int
+    instances: list[Instance]
+
+
+def _complete_tuples(df: pd.DataFrame, keywords: list[str]) -> list[_Complete]:
+    kws = frozenset(keywords)
+    return [
+        _Complete(int(row[0]), int(row[1]), [Instance(row[2:], 1.0, keywords=kws)])
+        for row in df[["rid", "stream_id", *ATTR_COLS]].itertuples(index=False)
+    ]
 
 
 def _pairs_iter(ds: Dataset, cfg: TERConfig, max_batches: int):
@@ -49,7 +68,9 @@ def _pairs_iter(ds: Dataset, cfg: TERConfig, max_batches: int):
 def truth_pairs(
     spark: SparkSession, ds: Dataset, cfg: TERConfig, *, max_batches: int = 3
 ) -> set[frozenset]:
-    """Reference matching-pair set for a run with the given schedule."""
+    """Reference matching-pair set for a run with the given schedule.
+
+    ``spark`` is not read; callers pass it positionally, so it stays."""
     keywords = ds.keywords[: cfg.n_topic_keywords]
     out: set[frozenset] = set()
     for arrived, pool in _pairs_iter(ds, cfg, max_batches):
@@ -71,27 +92,9 @@ def truth_pairs(
                     if kw_n or m.kw:
                         out.add(frozenset((int(row.rid), int(m.rid))))
         else:
-            a = arrived.copy()
-            p = pool.copy()
-            a_kw = _kw_flags(a, keywords)
-            p_kw = _kw_flags(p, keywords)
-            new_inst = pd.DataFrame(
-                {
-                    "rid": a["rid"], "stream_id": a["stream_id"],
-                    "p": 1.0, "has_kw": a_kw.values,
-                    **{f"v{k}": a[c] for k, c in enumerate(ATTR_COLS)},
-                }
-            )
-            pool_inst = pd.DataFrame(
-                {
-                    "rid": p["rid"], "stream_id": p["stream_id"],
-                    "p": 1.0, "has_kw": p_kw.values,
-                    **{f"v{k}": p[c] for k, c in enumerate(ATTR_COLS)},
-                }
-            )
             got = exact_er_spark(
-                spark, new_inst, pool_inst, gamma=cfg.gamma, alpha=cfg.alpha
+                _complete_tuples(arrived, keywords), _complete_tuples(pool, keywords),
+                gamma=cfg.gamma, alpha=cfg.alpha,
             )
-            for row in got.itertuples(index=False):
-                out.add(frozenset((int(row.rid_n), int(row.rid_m))))
+            out.update(frozenset((rid_n, rid_m)) for rid_n, rid_m, _ in got)
     return out

@@ -87,8 +87,9 @@ class TestPruning:
 
 class TestGolden:
     """Golden check: the reported pairs and per-stage counts of the ``runs``
-    fixture. A change to candidate generation, pruning or refinement that
-    claims the same outputs must reproduce them exactly."""
+    fixture. A change to candidate generation, pruning, refinement or the
+    baselines' exact ER that claims the same outputs must reproduce them
+    exactly."""
 
     PAIRS = {frozenset((127, 153)), frozenset((150, 166))}
     PRUNE = {
@@ -96,9 +97,12 @@ class TestGolden:
                           pruned_prob=0, pruned_instance=37, refined=290),
         "ij_ger": PruneStats(total=4638, pruned_topic=4102, pruned_sim=209,
                              pruned_prob=0, pruned_instance=0, refined=327),
+        # The unindexed baselines evaluate every cross-stream pair exactly.
+        "cdd_er": PruneStats(total=4638, refined=4638),
+        "con_er": PruneStats(total=4638, refined=4638),
     }
 
-    @pytest.mark.parametrize("method", ["ter", "ij_ger"])
+    @pytest.mark.parametrize("method", ["ter", "ij_ger", "cdd_er", "con_er"])
     def test_pairs_and_prune_stats(self, runs, method):
         assert set(runs[method].pairs) == self.PAIRS
         assert runs[method].prune == self.PRUNE[method]
