@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.core.probability import Instance
 from repro.core.similarity import jaccard_dist
@@ -105,21 +104,13 @@ def build_imputed_tuple(
     )
 
 
-def aggregates_frame(tuples: list[ImputedTuple]) -> pd.DataFrame:
-    """Flatten aggregates into one row per tuple (columns lb_k/ub_k/e_k/
-    tmin_k/tmax_k for k in 0..d-1) — the window-state frame that per-batch
-    Spark pipelines are built from."""
-    rows = []
-    for t in tuples:
-        row = {"rid": t.rid, "stream_id": t.stream_id, "kw_mask": t.kw_mask}
-        for k in range(D):
-            row[f"lb{k}"] = t.lb[k]
-            row[f"ub{k}"] = t.ub[k]
-            row[f"e{k}"] = t.e[k]
-            row[f"tmin{k}"] = t.tmin[k]
-            row[f"tmax{k}"] = t.tmax[k]
-        rows.append(row)
-    cols = ["rid", "stream_id", "kw_mask"] + [
-        f"{p}{k}" for k in range(D) for p in ("lb", "ub", "e", "tmin", "tmax")
-    ]
-    return pd.DataFrame(rows, columns=cols)
+def aggregates_frame(tuples: list[ImputedTuple]) -> dict[str, np.ndarray]:
+    """Aggregate columns, one row per tuple: ``rid``, ``stream_id``,
+    ``kw_mask`` and ``lb{k}``/``ub{k}``/``e{k}``/``tmin{k}``/``tmax{k}`` for
+    k in 0..d-1 (the column layout of the ER-grid's window state)."""
+    cols = {c: np.array([getattr(t, c) for t in tuples], dtype=np.int64)
+            for c in ("rid", "stream_id", "kw_mask")}
+    for name in ("lb", "ub", "e", "tmin", "tmax"):
+        per_attr = np.array([getattr(t, name) for t in tuples], dtype=float).reshape(-1, D).T
+        cols.update({f"{name}{k}": per_attr[k].copy() for k in range(D)})
+    return cols

@@ -1,11 +1,15 @@
 """ER-grid synopsis over sliding windows (paper §5.2) + candidate generation.
 
 The grid assigns every (imputed) window tuple to a d-dimensional cell by its
-per-attribute main-pivot distance lower bound. Cells carry the paper's
-aggregates: keyword existence, minimally-bounding pivot-distance intervals,
-token-set-size intervals, and per-stream member counts. Candidate generation
-for a micro-batch is a driver-side numpy pass over the window's aggregates
-(a few thousand rows), using the bound kernels of :mod:`repro.core.pruning`:
+per-attribute main-pivot distance lower bound. The window state keeps the
+tuples' aggregates as numpy columns (``repro.core.instances.aggregates_frame``)
+plus one integer cell code per tuple (:func:`cell_codes`), computed once when
+the tuple is inserted. Per micro-batch, candidate generation derives the
+occupied cells from the codes with numpy reductions: each cell carries the
+paper's aggregates (keyword existence, minimally-bounding pivot-distance
+intervals, token-set-size intervals, per-stream member counts), exactly the
+min/max over its members. It then evaluates the bound kernels of
+:mod:`repro.core.pruning` on the driver:
 
   new-tuples x cells  -> cell-level pruning (Thm 4.1 / Thm 4.2 via
                           Lemmas 4.1-4.2 on cell aggregates)
@@ -48,43 +52,38 @@ class PruneStats:
         return self.total - self.pruned_topic - self.pruned_sim - self.pruned_prob
 
 
-def assign_cells(aggs: pd.DataFrame, cells_per_dim: int) -> pd.Series:
-    """Cell id string from quantized per-attribute lb distances."""
-    parts = []
+def cell_codes(aggs: dict, cells_per_dim: int) -> np.ndarray:
+    """Integer cell of each row: the per-attribute ``lb`` quantized to
+    ``cells_per_dim`` bins, as the digits of a base-``cells_per_dim`` number
+    (attribute k has weight ``cells_per_dim**k``)."""
+    code = np.zeros(len(aggs["rid"]), dtype=np.int64)
+    for k in reversed(range(D)):
+        b = np.clip((aggs[f"lb{k}"] * cells_per_dim).astype(np.int64), 0, cells_per_dim - 1)
+        code = code * cells_per_dim + b
+    return code
+
+
+def occupied_cells(window_aggs: dict) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The occupied cells of the window members' ``cell`` codes.
+
+    Returns (cells, order, size). ``order`` sorts the members by group
+    g = 2*cell + stream_id, so each cell and each of its per-stream member
+    lists is a slice; ``size[g]`` is the size of group g. ``cells`` holds,
+    per occupied cell in code order, its ``code`` and aggregates that are
+    exactly the members' OR (``kw_mask``), min (``lb{k}``, ``tmin{k}``) and
+    max (``ub{k}``, ``tmax{k}``)."""
+    m = window_aggs
+    code, cell = np.unique(m["cell"], return_inverse=True)
+    group = 2 * cell + m["stream_id"]
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group, minlength=2 * len(code))
+    first = (np.cumsum(size) - size)[0::2]
+    cells = {"code": code, "kw_mask": np.bitwise_or.reduceat(m["kw_mask"][order], first)}
     for k in range(D):
-        b = np.clip(
-            (aggs[f"lb{k}"].to_numpy() * cells_per_dim).astype(int),
-            0,
-            cells_per_dim - 1,
-        )
-        parts.append(b.astype(str))
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.char.add(np.char.add(out, "|"), p)
-    return pd.Series(out, index=aggs.index)
-
-
-def build_cells(members: pd.DataFrame) -> pd.DataFrame:
-    """Cell aggregate table from a member frame that has ``cell`` assigned."""
-    agg_spec = {"kw_any": ("kw_mask", lambda s: int((s != 0).any()))}
-    for k in range(D):
-        agg_spec[f"clb{k}"] = (f"lb{k}", "min")
-        agg_spec[f"cub{k}"] = (f"ub{k}", "max")
-        agg_spec[f"ctmin{k}"] = (f"tmin{k}", "min")
-        agg_spec[f"ctmax{k}"] = (f"tmax{k}", "max")
-    cells = members.groupby("cell").agg(**agg_spec).reset_index()
-    counts = (
-        members.groupby(["cell", "stream_id"]).size().unstack(fill_value=0)
-    )
-    for s in (0, 1):
-        cells[f"n{s}"] = counts.get(s, pd.Series(0, index=counts.index)).reindex(
-            cells["cell"]
-        ).fillna(0).to_numpy(dtype=int)
-    return cells
-
-
-def _columns(frame: pd.DataFrame) -> dict[str, np.ndarray]:
-    return {c: frame[c].to_numpy() for c in frame.columns}
+        for name, reduce in (("lb", np.minimum), ("ub", np.maximum),
+                             ("tmin", np.minimum), ("tmax", np.maximum)):
+            cells[f"{name}{k}"] = reduce.reduceat(m[f"{name}{k}"][order], first)
+    return cells, order, size
 
 
 def _staged_prune(
@@ -137,50 +136,41 @@ def _no_pairs() -> pd.DataFrame:
 
 
 def generate_candidates(
-    new_aggs: pd.DataFrame,
-    window_aggs: pd.DataFrame,
+    new_aggs: dict,
+    window_aggs: dict,
     *,
     d: int,
     gamma: float,
     alpha: float,
-    cells_per_dim: int,
     use_pivot: bool = True,
     use_prob: bool = True,
 ) -> tuple[pd.DataFrame, PruneStats]:
     """Grid-based candidate pairs (new x window) with staged pruning.
 
-    Returns (pairs frame with columns rid_n/rid_m, stats). ``use_pivot`` /
-    ``use_prob`` gate the Lemma-4.2/4.3 stages (the I_j+G_ER baseline runs
-    without the fused pivot-sharing prunes, DESIGN.md §2.4).
+    ``new_aggs`` and ``window_aggs`` are aggregate column maps; the window's
+    also carries each member's ``cell`` code. Returns (pairs frame with
+    columns rid_n/rid_m, stats). ``use_pivot`` / ``use_prob`` gate the
+    Lemma-4.2/4.3 stages (the I_j+G_ER baseline runs without the fused
+    pivot-sharing prunes, DESIGN.md §2.4).
     """
-    if new_aggs.empty or window_aggs.empty:
+    n, m = new_aggs, window_aggs
+    if not len(n["rid"]) or not len(m["rid"]):
         return _no_pairs(), PruneStats()
     bounds = dict(d=d, gamma=gamma, alpha=alpha, use_pivot=use_pivot)
 
-    members = window_aggs.assign(cell=assign_cells(window_aggs, cells_per_dim))
-    cells = build_cells(members)
-    n = _columns(new_aggs)
-    c = _columns(cells.rename(columns={"kw_any": "kw_mask", **{
-        f"c{agg}{k}": f"{agg}{k}" for k in range(D) for agg in ("lb", "ub", "tmin", "tmax")
-    }}))
+    c, order, size = occupied_cells(m)
+    n_cells = len(c["code"])
+    start = np.cumsum(size) - size
 
     # Cell level: every new tuple against every occupied cell, each pair
     # weighted by the cell's members from the other stream.
-    n_new, n_cells = len(new_aggs), len(cells)
-    ci = np.repeat(np.arange(n_new), n_cells)
-    cj = np.tile(np.arange(n_cells), n_new)
+    ci = np.repeat(np.arange(len(n["rid"])), n_cells)
+    cj = np.tile(np.arange(n_cells), len(n["rid"]))
     other = 1 - n["stream_id"][ci]
-    elig = cells[["n0", "n1"]].to_numpy()[cj, other]
-    keep, stats = _staged_prune(n, ci, c, cj, weight=elig, use_prob=False, **bounds)
+    keep, stats = _staged_prune(n, ci, c, cj, weight=size[2 * cj + other],
+                                use_prob=False, **bounds)
 
-    # Expand surviving (new, cell) pairs to the cell's other-stream members:
-    # members sorted by group g = 2*cell + stream, so each group is a slice.
-    m = _columns(members.drop(columns="cell"))
-    code = pd.Categorical(members["cell"], categories=cells["cell"]).codes
-    group = 2 * code.astype(np.int64) + m["stream_id"]
-    order = np.argsort(group, kind="stable")
-    size = np.bincount(group, minlength=2 * n_cells)
-    start = np.cumsum(size) - size
+    # Expand surviving (new, cell) pairs to the cell's other-stream members.
     g = 2 * cj[keep] + other[keep]
     cnt = size[g]
     ti = np.repeat(ci[keep], cnt)
@@ -195,7 +185,7 @@ def generate_candidates(
 
 
 def newnew_candidates(
-    new_aggs: pd.DataFrame,
+    new_aggs: dict,
     *,
     d: int,
     gamma: float,
@@ -205,8 +195,8 @@ def newnew_candidates(
 ) -> tuple[pd.DataFrame, PruneStats]:
     """Same-batch (new x new) cross-stream pairs, with the same staged
     pruning and stage accounting as the new x window pairs."""
-    a = _columns(new_aggs)
-    idx_i, idx_j = np.triu_indices(len(new_aggs), k=1)
+    a = new_aggs
+    idx_i, idx_j = np.triu_indices(len(a["rid"]), k=1)
     cross = a["stream_id"][idx_i] != a["stream_id"][idx_j]
     idx_i, idx_j = idx_i[cross], idx_j[cross]
     if len(idx_i) == 0:

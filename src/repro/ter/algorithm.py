@@ -36,6 +36,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -53,6 +54,7 @@ from repro.index.cdd_index import build_cdd_index
 from repro.index.dr_index import build_dr_index
 from repro.index.er_grid import (
     PruneStats,
+    cell_codes,
     generate_candidates,
     newnew_candidates,
 )
@@ -87,14 +89,26 @@ class Prepared:
 
 @dataclass
 class TERState:
-    """Sliding-window state carried between micro-batches."""
+    """Sliding-window state carried between micro-batches.
+
+    ``tuples`` maps rid to the window's imputed tuples (the instance sets
+    that refinement and exact ER read). ``aggs`` holds one row per window
+    tuple as numpy columns: ``aggregates_frame``'s columns plus ``cell``,
+    the tuple's ER-grid cell code, computed once at insert. ``values``
+    holds the raw attribute values of the window's complete rows (``rid``
+    plus ``ATTR_COLS``; ``con_er``'s window mode reads them). Insert
+    appends rows and expiry masks them out; both build new arrays and never
+    write into old ones, so a clone shares the arrays.
+    """
 
     tuples: dict[int, ImputedTuple] = field(default_factory=dict)
-    aggs: pd.DataFrame = field(default_factory=pd.DataFrame)
-    values: pd.DataFrame = field(default_factory=pd.DataFrame)  # complete rows
+    aggs: dict[str, np.ndarray] = field(default_factory=lambda: {
+        **aggregates_frame([]), "cell": np.zeros(0, dtype=np.int64)})
+    values: dict[str, np.ndarray] = field(default_factory=lambda: {
+        "rid": np.zeros(0, dtype=np.int64), **{c: np.zeros(0, dtype=object) for c in ATTR_COLS}})
 
     def clone(self) -> "TERState":
-        return TERState(dict(self.tuples), self.aggs.copy(), self.values.copy())
+        return TERState(dict(self.tuples), dict(self.aggs), dict(self.values))
 
 
 @dataclass
@@ -171,7 +185,7 @@ def _impute(
 ) -> tuple[list[ImputedTuple], ImputeStats]:
     if method == "con_er":
         return impute_batch_con(
-            spark, batch, state.values, prep.pivots, keywords=prep.keywords
+            spark, batch, pd.DataFrame(state.values), prep.pivots, keywords=prep.keywords
         )
     return impute_batch(
         batch, prep.dr, prep.cddx, prep.pivots,
@@ -213,29 +227,29 @@ def _refine(
     return accepted, n_inst, n_ref
 
 
+def _append(cols: dict, new: dict) -> dict:
+    return {c: np.concatenate([v, new[c]]) for c, v in cols.items()}
+
+
+def _drop(cols: dict, rids: list[int]) -> dict:
+    keep = ~np.isin(cols["rid"], rids)
+    return {c: v[keep] for c, v in cols.items()}
+
+
 def _expire(state: TERState, expired_rids: list[int]) -> None:
     for rid in expired_rids:
         state.tuples.pop(rid, None)
-    if expired_rids and len(state.aggs):
-        state.aggs = state.aggs[~state.aggs["rid"].isin(expired_rids)]
-    if expired_rids and len(state.values):
-        state.values = state.values[~state.values["rid"].isin(expired_rids)]
+    if expired_rids:
+        state.aggs = _drop(state.aggs, expired_rids)
+        state.values = _drop(state.values, expired_rids)
 
 
 def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTuple],
-            new_aggs: pd.DataFrame) -> None:
+            new_aggs: dict, cells_per_dim: int) -> None:
     state.tuples.update({t.rid: t for t in new_tuples})
-    state.aggs = (
-        pd.concat([state.aggs, new_aggs], ignore_index=True)
-        if len(state.aggs)
-        else new_aggs
-    )
-    comp = arrived[~arrived[ATTR_COLS].isna().any(axis=1)]
-    state.values = (
-        pd.concat([state.values, comp], ignore_index=True)
-        if len(state.values)
-        else comp
-    )
+    state.aggs = _append(state.aggs, {**new_aggs, "cell": cell_codes(new_aggs, cells_per_dim)})
+    comp = arrived.dropna(subset=ATTR_COLS)
+    state.values = _append(state.values, {c: comp[c].to_numpy() for c in state.values})
 
 
 def warmup(
@@ -252,7 +266,8 @@ def warmup(
         new_tuples, _ = _impute(
             spark, prep.method, wb.arrived, prep, cfg, state, force_indexed=True
         )
-        _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
+        _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
+                cfg.grid_cells_per_dim)
     return state
 
 
@@ -282,7 +297,8 @@ def run_stream(
                 new_tuples, _ = _impute(
                     spark, method, wb.arrived, prep, cfg, state, force_indexed=True
                 )
-                _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
+                _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
+                        cfg.grid_cells_per_dim)
             continue
         _run_measured_batch(spark, ds, cfg, prep, wb, state, res)
     return res
@@ -308,7 +324,6 @@ def _run_measured_batch(
         cand, st1 = generate_candidates(
             new_aggs, state.aggs,
             d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
-            cells_per_dim=cfg.grid_cells_per_dim,
             use_pivot=fused, use_prob=fused,
         )
         cand2, st2 = newnew_candidates(
@@ -344,4 +359,4 @@ def _run_measured_batch(
         res.prune.refined += total
     res.t_er += time.perf_counter() - t0
 
-    _insert(state, wb.arrived, new_tuples, new_aggs)
+    _insert(state, wb.arrived, new_tuples, new_aggs, cfg.grid_cells_per_dim)

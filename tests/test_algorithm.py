@@ -145,10 +145,10 @@ class TestWarmupReuse:
 
         warm = warmup(spark, small_ds, small_cfg, prepared_ter)
         n_tuples = len(warm.tuples)
-        n_aggs = len(warm.aggs)
+        n_aggs = len(warm.aggs["rid"])
         r1 = rs(spark, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
         r2 = rs(spark, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
-        assert len(warm.tuples) == n_tuples and len(warm.aggs) == n_aggs
+        assert len(warm.tuples) == n_tuples and len(warm.aggs["rid"]) == n_aggs
         assert set(r1.pairs) == set(r2.pairs)
 
     def test_warmup_flavor_sharing(self):

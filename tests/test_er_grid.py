@@ -1,4 +1,4 @@
-"""ER-grid tests: cell assignment, aggregates, pruning safety, and stage
+"""ER-grid tests: cell codes, cell aggregates, pruning safety, and stage
 attribution against a row-wise reference.
 
 The crucial property is *safety*: no pair that the exact Eq. (2) refinement
@@ -6,6 +6,7 @@ would accept may be pruned by the grid pipeline (index pruning admits false
 positives, never false negatives).
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.config import TERConfig
@@ -13,10 +14,10 @@ from repro.core.instances import aggregates_frame, build_imputed_tuple
 from repro.core.probability import pr_ter_ids
 from repro.index.er_grid import (
     PruneStats,
-    assign_cells,
-    build_cells,
+    cell_codes,
     generate_candidates,
     newnew_candidates,
+    occupied_cells,
 )
 from repro.core import pruning as PR
 from repro.streams.stream_gen import D
@@ -27,6 +28,55 @@ PIV = [frozenset({"p", "q"})] * D
 
 def _tup(rid, sid, cands):
     return build_imputed_tuple(rid, sid, cands, topics=KW, pivot_tokens=PIV)
+
+
+def _window(tuples, cells_per_dim=4):
+    """Window aggregate columns with each member's cell code, as the window
+    state holds them."""
+    aggs = aggregates_frame(tuples)
+    return {**aggs, "cell": cell_codes(aggs, cells_per_dim)}
+
+
+def assign_cells(aggs: pd.DataFrame, cells_per_dim: int) -> pd.Series:
+    """Reference cell id: the quantized per-attribute lb distances as a
+    string ``"b0|b1|...|b{d-1}"``."""
+    parts = []
+    for k in range(D):
+        b = np.clip(
+            (aggs[f"lb{k}"].to_numpy() * cells_per_dim).astype(int),
+            0,
+            cells_per_dim - 1,
+        )
+        parts.append(b.astype(str))
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.char.add(np.char.add(out, "|"), p)
+    return pd.Series(out, index=aggs.index)
+
+
+def build_cells(members: pd.DataFrame) -> pd.DataFrame:
+    """Reference cell aggregate table (a pandas groupby) from a member frame
+    that has ``cell`` assigned."""
+    agg_spec = {"kw_any": ("kw_mask", lambda s: int((s != 0).any()))}
+    for k in range(D):
+        agg_spec[f"clb{k}"] = (f"lb{k}", "min")
+        agg_spec[f"cub{k}"] = (f"ub{k}", "max")
+        agg_spec[f"ctmin{k}"] = (f"tmin{k}", "min")
+        agg_spec[f"ctmax{k}"] = (f"tmax{k}", "max")
+    cells = members.groupby("cell").agg(**agg_spec).reset_index()
+    counts = (
+        members.groupby(["cell", "stream_id"]).size().unstack(fill_value=0)
+    )
+    for s in (0, 1):
+        cells[f"n{s}"] = counts.get(s, pd.Series(0, index=counts.index)).reindex(
+            cells["cell"]
+        ).fillna(0).to_numpy(dtype=int)
+    return cells
+
+
+def _cell_id(code, cells_per_dim):
+    """The reference string id of an integer cell code."""
+    return "|".join(str(code // cells_per_dim**k % cells_per_dim) for k in range(D))
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +182,7 @@ def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
     pairs, then the surviving cells' (new, member) pairs, with scalar calls
     to the ``core.pruning`` kernels. Returns (pairs, stats, sim prunes per
     level)."""
-    waggs = aggregates_frame(win)
+    waggs = pd.DataFrame(aggregates_frame(win))
     waggs["cell"] = assign_cells(waggs, cells_per_dim)
     by_rid = {t.rid: t for t in win}
     stats, pairs, sim_at = PruneStats(), set(), {"cell": 0, "tuple": 0}
@@ -179,35 +229,52 @@ def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
 class TestAssignCells:
     def test_deterministic_and_in_range(self, population):
         aggs = aggregates_frame(population)
-        cells = assign_cells(aggs, 5)
-        assert len(cells) == len(aggs)
-        for cid in cells:
-            parts = cid.split("|")
-            assert len(parts) == D
-            assert all(0 <= int(p) < 5 for p in parts)
+        codes = cell_codes(aggs, 5)
+        assert codes.dtype == np.int64 and len(codes) == len(population)
+        assert ((codes >= 0) & (codes < 5**D)).all()
+        np.testing.assert_array_equal(codes, cell_codes(aggs, 5))
+        # The same cells as the reference's string ids, digit by digit.
+        ref = assign_cells(pd.DataFrame(aggs), 5)
+        assert [_cell_id(c, 5) for c in codes] == ref.tolist()
 
     def test_cell_from_lb(self, population):
         aggs = aggregates_frame(population)
-        cells = assign_cells(aggs, 5)
-        b0 = int(np.clip(int(aggs.loc[0, "lb0"] * 5), 0, 4))
-        assert cells.iloc[0].split("|")[0] == str(b0)
+        codes = cell_codes(aggs, 5)
+        for k in range(D):
+            b = int(np.clip(int(aggs[f"lb{k}"][0] * 5), 0, 4))
+            assert codes[0] // 5**k % 5 == b
 
 
 class TestBuildCells:
-    def test_aggregates_bound_members(self, population):
-        aggs = aggregates_frame(population)
-        aggs["cell"] = assign_cells(aggs, 4)
-        cells = build_cells(aggs).set_index("cell")
-        for cid, grp in aggs.groupby("cell"):
-            c = cells.loc[cid]
-            for k in range(D):
-                assert c[f"clb{k}"] <= grp[f"lb{k}"].min() + 1e-9
-                assert c[f"cub{k}"] >= grp[f"ub{k}"].max() - 1e-9
-                assert c[f"ctmin{k}"] <= grp[f"tmin{k}"].min()
-                assert c[f"ctmax{k}"] >= grp[f"tmax{k}"].max()
-            assert bool(c["kw_any"]) == bool((grp["kw_mask"] != 0).any())
-            assert c["n0"] == (grp["stream_id"] == 0).sum()
-            assert c["n1"] == (grp["stream_id"] == 1).sum()
+    def test_aggregates_bound_members(self, varied):
+        """Every cell aggregate equals its members' min/max (a looser bound
+        would move pairs between pruning stages), and the cells, counts and
+        member slices equal the reference groupby's."""
+        for cells_per_dim in (2, 4):
+            win = _window(varied, cells_per_dim)
+            cells, order, size = occupied_cells(win)
+            members = pd.DataFrame(win)
+            assert len(cells["code"]) == members["cell"].nunique() > 1
+            ref = build_cells(members.assign(
+                cell=assign_cells(members, cells_per_dim))).set_index("cell")
+            assert len(ref) == len(cells["code"])
+            start = np.cumsum(size) - size
+            for x, code in enumerate(cells["code"]):
+                grp = members[members["cell"] == code]
+                sl = order[start[2 * x]:start[2 * x] + size[2 * x] + size[2 * x + 1]]
+                assert sorted(sl) == grp.index.tolist()
+                r = ref.loc[_cell_id(code, cells_per_dim)]
+                for k in range(D):
+                    assert cells[f"lb{k}"][x] == grp[f"lb{k}"].min() == r[f"clb{k}"]
+                    assert cells[f"ub{k}"][x] == grp[f"ub{k}"].max() == r[f"cub{k}"]
+                    assert cells[f"tmin{k}"][x] == grp[f"tmin{k}"].min() == r[f"ctmin{k}"]
+                    assert cells[f"tmax{k}"][x] == grp[f"tmax{k}"].max() == r[f"ctmax{k}"]
+                assert (bool(cells["kw_mask"][x]) == bool((grp["kw_mask"] != 0).any())
+                        == bool(r["kw_any"]))
+                assert size[2 * x] == (grp["stream_id"] == 0).sum() == r["n0"]
+                assert size[2 * x + 1] == (grp["stream_id"] == 1).sum() == r["n1"]
+                # Within a cell, stream-0 members come first.
+                assert (members["stream_id"].to_numpy()[sl[:size[2 * x]]] == 0).all()
 
 
 class TestCandidateGeneration:
@@ -222,8 +289,8 @@ class TestCandidateGeneration:
         """Every exact accept survives the grid pruning stages."""
         new, win = self._split(population)
         pairs, _ = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
         )
         surv = {frozenset((r.rid_n, r.rid_m)) for r in pairs.itertuples(index=False)}
         accepts = brute_force_accepts(new, win, self.CFG.gamma, self.CFG.alpha)
@@ -232,8 +299,8 @@ class TestCandidateGeneration:
     def test_stage_counts_partition_total(self, population):
         new, win = self._split(population)
         pairs, st = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
         )
         assert st.total == sum(
             1
@@ -251,8 +318,8 @@ class TestCandidateGeneration:
         end-to-end tests / measured by the P1 bench."""
         new, win = self._split(population)
         pairs, st = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
         )
         no_kw_pairs = sum(
             1
@@ -266,25 +333,23 @@ class TestCandidateGeneration:
     def test_disabled_stages_gate(self, population):
         new, win = self._split(population)
         _, st_full = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
         )
         _, st_base = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
             use_pivot=False, use_prob=False,
         )
         assert st_base.pruned_prob == 0
         assert st_base.survivors >= st_full.survivors
 
     def test_empty_inputs(self, population):
-        empty = aggregates_frame([])
-        aggs = aggregates_frame(population[:4])
         p1, s1 = generate_candidates(
-            empty, aggs, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
+            aggregates_frame([]), _window(population[:4]), d=D, gamma=2.5, alpha=0.3
         )
         p2, s2 = generate_candidates(
-            aggs, empty, d=D, gamma=2.5, alpha=0.3, cells_per_dim=4
+            aggregates_frame(population[:4]), _window([]), d=D, gamma=2.5, alpha=0.3
         )
         assert p1.empty and p2.empty and s1.total == 0 and s2.total == 0
 
@@ -302,7 +367,8 @@ class TestStageAttribution:
                   use_pivot=fused, use_prob=fused)
         want, want_st, sim_at = reference_candidates(new, win, **kw)
         assert sim_at["cell"] > 0 and sim_at["tuple"] > 0
-        pairs, st = generate_candidates(aggregates_frame(new), aggregates_frame(win), **kw)
+        kw.pop("cells_per_dim")
+        pairs, st = generate_candidates(aggregates_frame(new), _window(win, 4), **kw)
         assert set(zip(pairs["rid_n"], pairs["rid_m"])) == want
         assert st == want_st
 
@@ -310,8 +376,8 @@ class TestStageAttribution:
         """Sim-stage pruning at cell and tuple level keeps every exact accept."""
         new, win = varied[:24], varied[24:]
         pairs, _ = generate_candidates(
-            aggregates_frame(new), aggregates_frame(win),
-            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
+            aggregates_frame(new), _window(win),
+            d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
         )
         surv = {frozenset(p) for p in zip(pairs["rid_n"], pairs["rid_m"])}
         assert brute_force_accepts(new, win, self.CFG.gamma, self.CFG.alpha) <= surv

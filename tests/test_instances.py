@@ -98,13 +98,15 @@ class TestAggregatesFrame:
         t2 = build_imputed_tuple(
             2, 1, [(("x y", "b", "c", "d", "e"), 1.0)], topics=[], pivot_tokens=_piv()
         )
-        df = aggregates_frame([t1, t2])
-        assert len(df) == 2
-        assert df.loc[0, "rid"] == 1 and df.loc[1, "stream_id"] == 1
-        assert df.loc[1, "tmax0"] == 2
-        assert {"lb0", "ub4", "e2", "tmin3", "kw_mask"} <= set(df.columns)
+        cols = aggregates_frame([t1, t2])
+        assert all(len(v) == 2 for v in cols.values())
+        assert cols["rid"][0] == 1 and cols["stream_id"][1] == 1
+        assert cols["tmax0"][1] == 2
+        assert {"lb0", "ub4", "e2", "tmin3", "kw_mask"} <= set(cols)
+        for k in range(D):
+            assert cols[f"lb{k}"][1] == t2.lb[k] and cols[f"e{k}"][0] == t1.e[k]
 
     def test_empty(self):
-        df = aggregates_frame([])
-        assert len(df) == 0
-        assert "rid" in df.columns
+        cols = aggregates_frame([])
+        assert len(cols["rid"]) == 0
+        assert "rid" in cols and "lb0" in cols
