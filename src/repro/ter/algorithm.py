@@ -263,11 +263,19 @@ def warmup(
     for wb in sliding_batches(ds.stream, w=cfg.w, batch_size=cfg.batch_size,
                               max_batches=0):
         assert wb.step == 0
-        new_tuples, _ = _impute(
-            spark, prep.method, wb.arrived, prep, cfg, state, force_indexed=True
-        )
-        _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
-                cfg.grid_cells_per_dim)
+        state = _fill(spark, cfg, prep, wb)
+    return state
+
+
+def _fill(spark, cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
+    """The state after the window-fill batch: its arrivals, less the oldest
+    tuples of a stream that filled before the other (``wb.expired_rids``)."""
+    state = TERState()
+    new_tuples, _ = _impute(spark, prep.method, wb.arrived, prep, cfg, state,
+                            force_indexed=True)
+    _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
+            cfg.grid_cells_per_dim)
+    _expire(state, wb.expired_rids)
     return state
 
 
@@ -293,12 +301,7 @@ def run_stream(
     ):
         if wb.step == 0:
             if state is None:
-                state = TERState()
-                new_tuples, _ = _impute(
-                    spark, method, wb.arrived, prep, cfg, state, force_indexed=True
-                )
-                _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
-                        cfg.grid_cells_per_dim)
+                state = _fill(spark, cfg, prep, wb)
             continue
         _run_measured_batch(spark, ds, cfg, prep, wb, state, res)
     return res

@@ -5,10 +5,13 @@ CDD imputation (indexed sample retrieval is exactly equivalent to a scan of
 all of R) and the pruning/grid stages are safe — so all three must emit the
 *same result pair set*; they differ only in how much work they do.
 """
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import Context
 from repro.index.er_grid import PruneStats
+from repro.streams.window import sliding_batches
 from repro.ter.algorithm import METHODS, prepare, run_stream
 from repro.ter.metrics import f_score, pruning_power
 from repro.ter.truth import truth_pairs
@@ -89,23 +92,70 @@ class TestGolden:
     """Golden check: the reported pairs and per-stage counts of the ``runs``
     fixture. A change to candidate generation, pruning, refinement or the
     baselines' exact ER that claims the same outputs must reproduce them
-    exactly."""
+    exactly. ``total`` is the window pair count of
+    ``test_total_counts_window_pairs``."""
 
     PAIRS = {frozenset((127, 153)), frozenset((150, 166))}
     PRUNE = {
-        "ter": PruneStats(total=4638, pruned_topic=4102, pruned_sim=209,
-                          pruned_prob=0, pruned_instance=37, refined=290),
-        "ij_ger": PruneStats(total=4638, pruned_topic=4102, pruned_sim=209,
-                             pruned_prob=0, pruned_instance=0, refined=327),
+        "ter": PruneStats(total=4009, pruned_topic=3507, pruned_sim=202,
+                          pruned_prob=0, pruned_instance=30, refined=270),
+        "ij_ger": PruneStats(total=4009, pruned_topic=3507, pruned_sim=202,
+                             pruned_prob=0, pruned_instance=0, refined=300),
         # The unindexed baselines evaluate every cross-stream pair exactly.
-        "cdd_er": PruneStats(total=4638, refined=4638),
-        "con_er": PruneStats(total=4638, refined=4638),
+        "cdd_er": PruneStats(total=4009, refined=4009),
+        "con_er": PruneStats(total=4009, refined=4009),
     }
 
     @pytest.mark.parametrize("method", ["ter", "ij_ger", "cdd_er", "con_er"])
     def test_pairs_and_prune_stats(self, runs, method):
         assert set(runs[method].pairs) == self.PAIRS
         assert runs[method].prune == self.PRUNE[method]
+
+    def test_total_counts_window_pairs(self, runs, small_ds, small_cfg):
+        """Counted from the window schedule alone: each batch's cross-stream
+        pairs of an arrival with a tuple of (window_before - expired), plus
+        the cross-stream pairs within the batch."""
+        want = 0
+        for wb in sliding_batches(small_ds.stream, w=small_cfg.w,
+                                  batch_size=small_cfg.batch_size,
+                                  max_batches=MAX_BATCHES):
+            if wb.step == 0:
+                continue
+            pool = wb.window_before[~wb.window_before["rid"].isin(wb.expired_rids)]
+            a = wb.arrived["stream_id"].value_counts()
+            p = pool["stream_id"].value_counts()
+            want += (a.get(0, 0) * p.get(1, 0) + a.get(1, 0) * p.get(0, 0)
+                     + a.get(0, 0) * a.get(1, 0))
+        assert want == self.PRUNE["ter"].total
+        assert {runs[m].prune.total for m in METHODS} == {want}
+
+
+class TestWindowState:
+    """Def. 2: from the window fill on, the state holds exactly the window,
+    also when one stream fills before the other."""
+
+    @pytest.mark.parametrize("method", ["ter", "cdd_er"])
+    def test_state_is_the_window(self, spark, small_ds, small_cfg, prepared_ter, method):
+        from repro.ter.algorithm import RunResult, _run_measured_batch, warmup
+
+        prep = dataclasses.replace(prepared_ter, method=method)
+        batches = sliding_batches(small_ds.stream, w=small_cfg.w,
+                                  batch_size=small_cfg.batch_size,
+                                  max_batches=MAX_BATCHES)
+        wb = next(batches)
+        assert wb.expired_rids, "the fill should overflow one stream"
+        state = warmup(spark, small_ds, small_cfg, prep)
+        res = RunResult(method)
+        while True:
+            want = (set(wb.window_before["rid"]) | set(wb.arrived["rid"])) - set(
+                wb.expired_rids)
+            assert set(state.tuples) == set(state.aggs["rid"].tolist()) == want
+            assert set(state.values["rid"].tolist()) <= want
+            wb = next(batches, None)
+            if wb is None:
+                break
+            _run_measured_batch(spark, small_ds, small_cfg, prep, wb, state, res)
+        assert res.n_arrivals > 0
 
 
 class TestFScore:
@@ -139,6 +189,7 @@ class TestWarmupReuse:
         r_cold = rs(spark, small_ds, small_cfg, prepared_ter,
                     max_batches=MAX_BATCHES)
         assert set(r_warm.pairs) == set(r_cold.pairs)
+        assert r_warm.prune == r_cold.prune
 
     def test_warm_state_not_mutated(self, spark, small_ds, small_cfg, prepared_ter):
         from repro.ter.algorithm import run_stream as rs, warmup
