@@ -1,18 +1,24 @@
 """Count-based sliding window over incomplete data streams (Defs. 1-2).
 
-The paper's model advances one tuple per timestamp per stream; evaluating a
-per-tuple loop through Spark would measure nothing but scheduler overhead, so
-(per the micro-batch substitution in DESIGN.md §2) the driver advances the
-window in *micro-batches* of ``batch_size`` arrivals: at each step the oldest
+The paper's model advances one tuple per timestamp per stream; per the
+micro-batch substitution in DESIGN.md §2, the driver advances the window in
+*micro-batches* of ``batch_size`` arrivals: at each step the oldest
 ``batch_size`` tuples per stream expire and ``batch_size`` new ones arrive.
 Reported per-timestamp wall-clock = batch wall-clock / arrivals, matching the
 paper's "average wall clock time ... for each new timestamp".
+
+The window is one FIFO of row positions per stream over the ``ts``-sorted
+stream; a step walks the arrivals' ``rid``/``stream_id`` values, and its
+``arrived`` and ``window_before`` frames are row selections of the sorted
+stream.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
 
 
@@ -40,60 +46,50 @@ def sliding_batches(
     ``warmup`` is set, the first window-fill of ``w`` tuples per stream is
     emitted as one batch (step 0) so steady-state steps are measured on a
     full window — matching the paper, which reports per-timestamp cost of a
-    full window.
+    full window. The fill ends once every stream holds ``w`` tuples, so a
+    stream that fills first overflows, and its oldest tuples expire at
+    step 0.
     """
     stream = stream.sort_values(["ts", "rid"], kind="stable").reset_index(drop=True)
-    per_stream: dict[int, list[int]] = {}   # stream_id -> rids in window (FIFO)
-    pos = 0
-    step = 0
+    rid = stream["rid"].tolist()
+    sid = stream["stream_id"].tolist()
     n = len(stream)
-    sids = sorted(stream["stream_id"].unique())
+    sids = sorted(set(sid))
+    # Row positions in the window, per stream, oldest first.
+    per_stream: dict[int, deque] = {s: deque() for s in sids}
 
-    def take(k: int) -> pd.DataFrame:
-        nonlocal pos
-        chunk = stream.iloc[pos : pos + k]
-        pos += len(chunk)
-        return chunk
+    def advance(lo: int, hi: int, step: int) -> WindowBatch:
+        window_before = stream.iloc[np.sort(np.fromiter(
+            (p for q in per_stream.values() for p in q), dtype=np.int64))]
+        expired: list[int] = []
+        for pos in range(lo, hi):
+            q = per_stream[sid[pos]]
+            q.append(pos)
+            if len(q) > w:
+                expired.append(rid[q.popleft()])
+        return WindowBatch(
+            step=step,
+            arrived=stream.iloc[lo:hi].reset_index(drop=True),
+            expired_rids=expired,
+            window_before=window_before.reset_index(drop=True),
+            n_arrivals=hi - lo,
+        )
 
+    pos = step = 0
     if warmup:
-        # Fill until every stream has w tuples (or the input runs out).
-        need = {s: w for s in sids}
-        rows = []
-        while pos < n and any(v > 0 for v in need.values()):
-            row = stream.iloc[pos]
-            pos += 1
-            rows.append(row)
-            if need.get(row["stream_id"], 0) > 0:
-                need[row["stream_id"]] -= 1
-        arrived = pd.DataFrame(rows).reset_index(drop=True) if rows else stream.iloc[0:0]
-        window_before = stream.iloc[0:0]
-        yield _advance(per_stream, arrived, window_before, stream, w, step)
+        # filled[i]: every stream has w tuples among the first i rows.
+        filled = np.ones(n + 1, dtype=bool)
+        sid_arr = np.asarray(sid)
+        for s in sids:
+            filled &= np.r_[0, np.cumsum(sid_arr == s)] >= w
+        pos = int(filled.argmax()) if filled.any() else n
+        yield advance(0, pos, step)
         step += 1
 
     while pos < n:
         if max_batches is not None and step > (max_batches if warmup else max_batches - 1):
             return
-        arrived = take(batch_size * len(sids))
-        if arrived.empty:
-            return
-        in_window = [r for rids in per_stream.values() for r in rids]
-        window_before = stream[stream["rid"].isin(in_window)]
-        yield _advance(per_stream, arrived, window_before, stream, w, step)
+        hi = min(n, pos + batch_size * len(sids))
+        yield advance(pos, hi, step)
+        pos = hi
         step += 1
-
-
-def _advance(per_stream, arrived, window_before, stream, w, step) -> WindowBatch:
-    expired: list[int] = []
-    for _, row in arrived.iterrows():
-        sid = row["stream_id"]
-        rids = per_stream.setdefault(sid, [])
-        rids.append(int(row["rid"]))
-        if len(rids) > w:
-            expired.append(rids.pop(0))
-    return WindowBatch(
-        step=step,
-        arrived=arrived.reset_index(drop=True),
-        expired_rids=expired,
-        window_before=window_before.reset_index(drop=True),
-        n_arrivals=len(arrived),
-    )

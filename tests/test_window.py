@@ -15,6 +15,12 @@ def _stream(n_per_stream=30):
     return pd.DataFrame(rows)
 
 
+def _unbalanced(n=60):
+    """Every third tuple is on stream 1, so stream 0 fills its window first."""
+    rows = [{"rid": i, "stream_id": int(i % 3 == 0), "ts": i, "v": i} for i in range(n)]
+    return pd.DataFrame(rows)
+
+
 class TestSlidingBatches:
     def test_warmup_fills_each_stream(self):
         s = _stream(30)
@@ -81,3 +87,27 @@ class TestSlidingBatches:
         batches = list(sliding_batches(s, w=10, batch_size=3, warmup=False))
         assert batches[0].step == 0
         assert len(batches[0].arrived) == 6
+
+    def test_fill_overflow_expires_oldest(self):
+        s = _unbalanced(60)
+        batches = list(sliding_batches(s, w=10, batch_size=5))
+        wb0 = batches[0]
+        # The fill ends with the 10th stream-1 tuple (rid 27); stream 0 has
+        # 18 tuples by then, and its 8 oldest leave the window.
+        assert wb0.arrived["rid"].tolist() == list(range(28))
+        stream0 = [r for r in range(28) if r % 3 != 0]
+        assert wb0.expired_rids == stream0[:8]
+        w1 = batches[1].window_before
+        assert set(w1["rid"]) == set(range(28)) - set(stream0[:8])
+        counts = w1["stream_id"].value_counts()
+        assert counts[0] == 10 and counts[1] == 10
+
+    def test_frames_keep_stream_rows_and_dtypes(self):
+        s = _unbalanced(60)
+        for wb in sliding_batches(s, w=10, batch_size=5):
+            for frame in (wb.arrived, wb.window_before):
+                assert frame.dtypes.to_dict() == s.dtypes.to_dict()
+                assert list(frame.index) == list(range(len(frame)))
+                pd.testing.assert_frame_equal(
+                    frame, s.set_index("rid", drop=False).loc[frame["rid"]]
+                    .reset_index(drop=True))
