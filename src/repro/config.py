@@ -50,7 +50,6 @@ class TERConfig:
     # (77.5%-86.5%).
     n_topic_keywords: int = 10
     grid_cells_per_dim: int = 5     # ER-grid cells per attribute
-    n_aux_pivots: int = 1           # auxiliary pivots per attribute (>= 0)
     pivot_buckets: int = 10         # P in Eq. (5) entropy
     pivot_emin: float = 1.5         # eMin in Appendix B
     pivot_cnt_max: int = 3          # cntMax in Appendix B
