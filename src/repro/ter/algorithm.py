@@ -95,8 +95,8 @@ class TERState:
     that refinement and exact ER read). ``aggs`` holds one row per window
     tuple as numpy columns: ``aggregates_frame``'s columns plus ``cell``,
     the tuple's ER-grid cell code, computed once at insert. ``values``
-    holds the raw attribute values of the window's complete rows (``rid``
-    plus ``ATTR_COLS``; ``con_er``'s window mode reads them). Insert
+    holds the window rows' raw attribute values (``rid`` plus
+    ``ATTR_COLS``; ``con_er``'s window mode reads the complete ones). Insert
     appends rows and expiry masks them out; both build new arrays and never
     write into old ones, so a clone shares the arrays.
     """
@@ -185,7 +185,8 @@ def _impute(
 ) -> tuple[list[ImputedTuple], ImputeStats]:
     if method == "con_er":
         return impute_batch_con(
-            spark, batch, pd.DataFrame(state.values), prep.pivots, keywords=prep.keywords
+            spark, batch, pd.DataFrame(state.values).dropna(subset=ATTR_COLS),
+            prep.pivots, keywords=prep.keywords,
         )
     return impute_batch(
         batch, prep.dr, prep.cddx, prep.pivots,
@@ -248,8 +249,7 @@ def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTupl
             new_aggs: dict, cells_per_dim: int) -> None:
     state.tuples.update({t.rid: t for t in new_tuples})
     state.aggs = _append(state.aggs, {**new_aggs, "cell": cell_codes(new_aggs, cells_per_dim)})
-    comp = arrived.dropna(subset=ATTR_COLS)
-    state.values = _append(state.values, {c: comp[c].to_numpy() for c in state.values})
+    state.values = _append(state.values, {c: arrived[c].to_numpy() for c in state.values})
 
 
 def warmup(

@@ -150,7 +150,7 @@ class TestWindowState:
             want = (set(wb.window_before["rid"]) | set(wb.arrived["rid"])) - set(
                 wb.expired_rids)
             assert set(state.tuples) == set(state.aggs["rid"].tolist()) == want
-            assert set(state.values["rid"].tolist()) <= want
+            assert set(state.values["rid"].tolist()) == want
             wb = next(batches, None)
             if wb is None:
                 break
