@@ -159,13 +159,13 @@ def generate_candidates(
     bounds = dict(d=d, gamma=gamma, alpha=alpha, use_pivot=use_pivot)
 
     c, order, size = occupied_cells(m)
-    n_cells = len(c["code"])
     start = np.cumsum(size) - size
 
     # Cell level: every new tuple against every occupied cell, each pair
     # weighted by the cell's members from the other stream.
-    ci = np.repeat(np.arange(len(n["rid"])), n_cells)
-    cj = np.tile(np.arange(n_cells), len(n["rid"]))
+    n_new, n_cells = len(n["rid"]), len(c["code"])
+    ci = np.repeat(np.arange(n_new), n_cells)
+    cj = np.tile(np.arange(n_cells), n_new)
     other = 1 - n["stream_id"][ci]
     keep, stats = _staged_prune(n, ci, c, cj, weight=size[2 * cj + other],
                                 use_prob=False, **bounds)
