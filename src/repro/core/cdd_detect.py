@@ -4,10 +4,11 @@ Following the literature the paper cites ([19, 41, 35, 12]), rules of the
 form ``A_x -> A_j`` are fit from pairwise distance profiles of repository
 samples:
 
-1. **Pair sampling (Spark)**: repository tuples are tokenized and self-joined
-   inside random blocks (a sampled subset of the quadratic pair space); for
-   every sampled pair, per-attribute Jaccard distances are computed with
-   Catalyst array expressions and collected (the profile is small).
+1. **Pair sampling (driver)**: repository tuples are paired inside random
+   blocks and locality blocks (a sampled subset of the quadratic pair space,
+   listed straight from the block assignment), and for every sampled pair
+   the per-attribute Jaccard distances are computed with
+   :mod:`repro.core.similarity` (the profile is small: ~12 pairs per tuple).
 2. **DD fitting (numpy)**: for each (determinant x, dependent j), the largest
    determinant radius ``eps`` on a grid such that the conditional dependent
    distance stays within an acceptable interval (95th percentile <= tau)
@@ -29,11 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.cdd import CDDRule, Constraint, combine_rules
-from repro.core.similarity import jaccard_dist_col, tokens_col
+from repro.core.similarity import jaccard_dist, tokens
 from repro.streams.stream_gen import ATTR_COLS, D
 
 #: acceptable dependent-interval width (paper: "acceptable interval")
@@ -47,42 +46,89 @@ _MIN_CONF = 0.75
 _EPS_GRID = np.arange(0.15, 0.85, 0.05)
 
 
+#: Murmur3_x86_32 constants (Spark's ``Murmur3_x86_32``; seed 42 in ``hash()``)
+_C1, _C2 = np.uint32(0xCC9E2D51), np.uint32(0x1B873593)
+_F1, _F2 = np.uint32(0x85EBCA6B), np.uint32(0xC2B2AE35)
+_N, _SEED = np.uint32(0xE6546B64), np.uint32(42)
+
+
+def _mix_k1(k: np.ndarray) -> np.ndarray:
+    k = k * _C1
+    return ((k << 15) | (k >> 17)) * _C2
+
+
+def _mix_h1(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    h = h ^ k
+    return ((h << 13) | (h >> 19)) * np.uint32(5) + _N
+
+
+def spark_hash_long(x: np.ndarray) -> np.ndarray:
+    """Spark SQL's ``hash()`` of a long column (``Murmur3_x86_32.hashLong``,
+    seed 42) over an int64 array, as int32. uint32 arithmetic wraps as Java's
+    int does, and ``>>`` on uint32 is Java's ``>>>``."""
+    u = np.asarray(x, dtype=np.int64).view(np.uint64)
+    h = _mix_h1(np.full(u.shape, _SEED), _mix_k1((u & 0xFFFFFFFF).astype(np.uint32)))
+    h = _mix_h1(h, _mix_k1((u >> 32).astype(np.uint32)))
+    h = h ^ np.uint32(8)                       # fmix with length 8
+    h = (h ^ (h >> 16)) * _F1
+    h = (h ^ (h >> 13)) * _F2
+    return (h ^ (h >> 16)).view(np.int32)
+
+
+def _block_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered pair of rows sharing a ``key``, once, as row-index
+    arrays, listed per block without testing pairs across blocks."""
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    n = len(k)
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    ends = np.repeat(np.r_[starts[1:], n], np.diff(np.r_[starts, n]))
+    later = ends - np.arange(n) - 1        # rows after each position in its block
+    left = np.repeat(np.arange(n), later)
+    first = np.cumsum(later) - later       # where each position's pairs start
+    right = left + 1 + np.arange(len(left)) - np.repeat(first, later)
+    return order[left], order[right]
+
+
 def sample_pair_profile(
-    spark: SparkSession, repo: pd.DataFrame, *, n_blocks: int | None = None,
+    spark, repo: pd.DataFrame, *, n_blocks: int | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Spark: sampled pairwise per-attribute Jaccard distances from R.
+    """Sampled pairwise per-attribute Jaccard distances from R, on the driver.
 
     Two pair strata are unioned, as in similarity-join-based rule discovery:
     *random blocks* (block size ~16; background distance distribution) and
     *locality blocks* (consecutive sids; repositories list near-duplicate
     records nearby, so these blocks surface the similar pairs that carry the
     dependency signal). Pair count is bounded at roughly ``|R| * 12``.
+
+    A pair ``(l, r)`` with ``l.sid < r.sid`` is kept once when it shares
+    either block. The blocks are those of the Spark SQL expressions
+    ``pmod(hash(sid + seed), n_blocks)`` and ``cast(sid / 8 as int)``, so the
+    rows equal those of the equivalent Spark join (``spark`` is not read).
+    Rows are in (l, r) repository order.
     """
     if n_blocks is None:
         n_blocks = max(1, len(repo) // 16)
-    sdf = spark.createDataFrame(repo[["sid"] + ATTR_COLS])
-    tok = sdf.select(
-        "sid",
-        F.pmod(F.hash(F.col("sid") + F.lit(seed)), F.lit(n_blocks)).alias("blk"),
-        (F.col("sid") / 8).cast("int").alias("lblk"),
-        *[tokens_col(F.col(c)).alias(f"t{k}") for k, c in enumerate(ATTR_COLS)],
-    )
-    left = tok.alias("l")
-    right = tok.alias("r")
-    same_rand = F.col("l.blk") == F.col("r.blk")
-    same_local = F.col("l.lblk") == F.col("r.lblk")
-    pairs = left.join(
-        F.broadcast(right),
-        (same_rand | same_local) & (F.col("l.sid") < F.col("r.sid")),
-    )
-    prof = pairs.select(
-        *[
-            jaccard_dist_col(F.col(f"l.t{k}"), F.col(f"r.t{k}")).alias(f"d{k}")
-            for k in range(D)
-        ]
-    )
-    return prof.toPandas()
+    sid = repo["sid"].to_numpy(dtype=np.int64)
+    blk = spark_hash_long(sid + seed).astype(np.int64) % n_blocks   # pmod
+    lblk = (sid / 8).astype(np.int64)               # cast truncates toward 0
+    a1, b1 = _block_pairs(blk)
+    a2, b2 = _block_pairs(lblk)
+    once = blk[a2] != blk[b2]        # pairs sharing both blocks are in a1/b1
+    a, b = np.r_[a1, a2[once]], np.r_[b1, b2[once]]
+    swap = sid[a] > sid[b]
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    keep = sid[lo] < sid[hi]
+    lo, hi = lo[keep], hi[keep]
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order].tolist(), hi[order].tolist()
+    prof = {}
+    for k, c in enumerate(ATTR_COLS):
+        toks = [tokens(v) for v in repo[c].tolist()]
+        prof[f"d{k}"] = np.array(
+            [jaccard_dist(toks[i], toks[j]) for i, j in zip(lo, hi)], dtype=np.float64)
+    return pd.DataFrame(prof, columns=[f"d{k}" for k in range(D)])
 
 
 def _fit_single(
@@ -160,7 +206,7 @@ def _editing_rules(profile: pd.DataFrame, j: int, *, tau: float = TAU_CDD) -> li
 
 
 def detect_rules(
-    spark: SparkSession,
+    spark,
     repo: pd.DataFrame,
     *,
     flavor: str = "cdd",

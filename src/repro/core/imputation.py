@@ -22,23 +22,20 @@ Eq. (4); instances of multi-attribute-missing tuples are the per-attribute
 candidate cross product (capped + renormalized, DESIGN.md).
 
 ``impute_batch`` covers the cdd/dd/er flavors (they differ only in the rule
-set and whether the DR-index is used) and makes no Spark call;
-``impute_batch_con`` implements the constraint-based baseline [43], which
-fills each missing attribute with its mode over the current *window* (no
-repository access).
+set and whether the DR-index is used); ``impute_batch_con`` implements the
+constraint-based baseline [43], which fills each missing attribute with its
+mode over the current *window* (no repository access). Neither makes a
+Spark call.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core.instances import ImputedTuple, build_imputed_tuple, cap_instances
 from repro.core.pivot import AttributePivots
@@ -251,7 +248,6 @@ def impute_batch(
 
 
 def impute_batch_con(
-    spark: SparkSession,
     batch: pd.DataFrame,
     window_values: pd.DataFrame,
     pivots: dict[int, AttributePivots],
@@ -261,7 +257,8 @@ def impute_batch_con(
     """Constraint-based baseline [43]: statistical imputation from the
     stream itself — each missing attribute is filled with the most frequent
     (mode) value of that attribute over the current window; single instance
-    with p = 1; no repository access.
+    with p = 1; no repository access. A tie in count goes to the smallest
+    value in code-point order.
 
     The paper: con+ER "does not adequately consider the semantic association
     among textual attribute values" (worst accuracy) and "imputes missing
@@ -275,32 +272,14 @@ def impute_batch_con(
     filled = batch.copy()
     if stats.n_incomplete and len(window_values):
         t0 = time.perf_counter()
-        wv = window_values[ATTR_COLS]
-        long = None
-        for k, c in enumerate(ATTR_COLS):
-            part = spark.createDataFrame(
-                wv[[c]].dropna().rename(columns={c: "v"})
-            ).select(F.lit(k).alias("attr"), "v")
-            long = part if long is None else long.unionByName(part)
-        mode = (
-            long.groupBy("attr", "v")
-            .count()
-            .withColumn(
-                "rk",
-                F.row_number().over(
-                    Window.partitionBy("attr").orderBy(F.desc("count"), F.asc("v"))
-                ),
-            )
-            .where(F.col("rk") == 1)
-            .select("attr", "v")
-            .toPandas()
-        )
+        modes = {}
+        for c in ATTR_COLS:
+            counts = Counter(window_values[c].dropna().tolist())
+            if counts:
+                modes[c] = min(counts.items(), key=lambda vc: (-vc[1], vc[0]))[0]
         stats.t_impute = time.perf_counter() - t0
-        modes = dict(zip(mode["attr"], mode["v"]))
-        for idx, row in filled[has_missing].iterrows():
-            for k, c in enumerate(ATTR_COLS):
-                if row[c] is None or pd.isna(row[c]):
-                    filled.loc[idx, c] = modes.get(k)
+        for c in ATTR_COLS:
+            filled.loc[filled[c].isna(), c] = modes.get(c)
     tuples = assemble_instances(
         filled, pd.DataFrame(columns=FREQ_COLS),
         keywords=keywords, pivots=pivots,

@@ -6,19 +6,13 @@ string. ``sim(r, r')`` is the *sum* of per-attribute Jaccard similarities
 ``1 - jaccard`` — a metric, which Lemmas 4.2/4.3 rely on via the triangle
 inequality.
 
-Two layers are provided:
-- python-set kernels (``tokens``, ``jaccard``, ``sim_tuples``) for pivot
-  selection, the DR-index build, imputation, refinement and unit tests
-  against the paper's examples;
-- Spark Column builders (``tokens_col``, ``jaccard_col``) for rule
-  detection.
+The kernels work on Python token sets, on the driver: rule detection's pair
+profile, pivot selection, the DR-index build, imputation and refinement all
+call them. ``tokens`` splits on any whitespace (``str.split()``).
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 
 def tokens(value: str | None) -> frozenset[str]:
@@ -59,21 +53,3 @@ def dist_tuples(r: Sequence[str | None], s: Sequence[str | None]) -> float:
         raise ValueError(f"dimensionality mismatch: {len(r)} vs {len(s)}")
     return sum(jaccard_dist(tokens(a), tokens(b)) for a, b in zip(r, s))
 
-
-def tokens_col(col: Column) -> Column:
-    """Spark: token-set array of an attribute string column (deduped)."""
-    return F.array_distinct(
-        F.filter(F.split(F.coalesce(col, F.lit("")), " "), lambda t: t != "")
-    )
-
-
-def jaccard_col(a: Column, b: Column) -> Column:
-    """Spark: Jaccard similarity of two token-array columns (0 when both empty)."""
-    inter = F.size(F.array_intersect(a, b))
-    union = F.size(F.array_union(a, b))
-    return F.when(union == 0, F.lit(0.0)).otherwise(inter / union)
-
-
-def jaccard_dist_col(a: Column, b: Column) -> Column:
-    """Spark: Jaccard distance of two token-array columns."""
-    return F.lit(1.0) - jaccard_col(a, b)

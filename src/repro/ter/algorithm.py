@@ -22,8 +22,8 @@ Methods (paper §6.1):
 
 All ER runs on the driver with one Eq. (2) kernel: ``ter``/``ij_ger`` refine
 the grid's surviving pairs with it, and the four unindexed baselines evaluate
-every cross-stream pair with it (``baselines.exact_er_spark``). A measured
-batch launches no Spark job, except for ``con_er``'s window imputation.
+every cross-stream pair with it (``baselines.exact_er_spark``). Neither the
+offline phase nor a measured batch of any method launches a Spark job.
 
 Warmup always retrieves imputation samples through the DR-index regardless of
 method — the postings probe is *exactly* equivalent to a scan of all of R
@@ -180,12 +180,12 @@ def prepare(
 
 
 def _impute(
-    spark, method: str, batch: pd.DataFrame, prep: Prepared, cfg: TERConfig,
+    method: str, batch: pd.DataFrame, prep: Prepared, cfg: TERConfig,
     state: TERState, *, force_indexed: bool = False,
 ) -> tuple[list[ImputedTuple], ImputeStats]:
     if method == "con_er":
         return impute_batch_con(
-            spark, batch, pd.DataFrame(state.values).dropna(subset=ATTR_COLS),
+            batch, pd.DataFrame(state.values).dropna(subset=ATTR_COLS),
             prep.pivots, keywords=prep.keywords,
         )
     return impute_batch(
@@ -197,34 +197,36 @@ def _impute(
 
 
 def _refine(
-    pairs: pd.DataFrame,
+    cands: list[pd.DataFrame],
     inst_of: dict[int, ImputedTuple],
     *,
     gamma: float,
     alpha: float,
     early: bool,
 ) -> tuple[dict, int, int]:
-    """Exact Eq. (2) on surviving candidate pairs (driver-side kernel).
+    """Exact Eq. (2) on surviving candidate pairs (driver-side kernel), the
+    ``rid_n``/``rid_m`` rows of each grid result in ``cands`` in turn.
 
     Returns (accepted {pair: pr}, n_instance_pruned, n_refined)."""
     accepted: dict = {}
     n_inst = 0
     n_ref = 0
-    for row in pairs.itertuples(index=False):
-        a = inst_of.get(int(row.rid_n))
-        b = inst_of.get(int(row.rid_m))
-        if a is None or b is None:
-            continue
-        pr, stopped = pr_ter_ids_detail(
-            a.instances, b.instances, gamma, alpha if early else None
-        )
-        if pr > alpha:
-            accepted[frozenset((a.rid, b.rid))] = pr
-            n_ref += 1
-        elif stopped:
-            n_inst += 1
-        else:
-            n_ref += 1
+    for cand in cands:
+        for rid_n, rid_m in zip(cand["rid_n"].tolist(), cand["rid_m"].tolist()):
+            a = inst_of.get(rid_n)
+            b = inst_of.get(rid_m)
+            if a is None or b is None:
+                continue
+            pr, stopped = pr_ter_ids_detail(
+                a.instances, b.instances, gamma, alpha if early else None
+            )
+            if pr > alpha:
+                accepted[frozenset((a.rid, b.rid))] = pr
+                n_ref += 1
+            elif stopped:
+                n_inst += 1
+            else:
+                n_ref += 1
     return accepted, n_inst, n_ref
 
 
@@ -263,15 +265,15 @@ def warmup(
     for wb in sliding_batches(ds.stream, w=cfg.w, batch_size=cfg.batch_size,
                               max_batches=0):
         assert wb.step == 0
-        state = _fill(spark, cfg, prep, wb)
+        state = _fill(cfg, prep, wb)
     return state
 
 
-def _fill(spark, cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
+def _fill(cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
     """The state after the window-fill batch: its arrivals, less the oldest
     tuples of a stream that filled before the other (``wb.expired_rids``)."""
     state = TERState()
-    new_tuples, _ = _impute(spark, prep.method, wb.arrived, prep, cfg, state,
+    new_tuples, _ = _impute(prep.method, wb.arrived, prep, cfg, state,
                             force_indexed=True)
     _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
             cfg.grid_cells_per_dim)
@@ -301,20 +303,20 @@ def run_stream(
     ):
         if wb.step == 0:
             if state is None:
-                state = _fill(spark, cfg, prep, wb)
+                state = _fill(cfg, prep, wb)
             continue
-        _run_measured_batch(spark, ds, cfg, prep, wb, state, res)
+        _run_measured_batch(cfg, prep, wb, state, res)
     return res
 
 
 def _run_measured_batch(
-    spark, ds: Dataset, cfg: TERConfig, prep: Prepared, wb: WindowBatch,
-    state: TERState, res: RunResult,
+    cfg: TERConfig, prep: Prepared, wb: WindowBatch, state: TERState,
+    res: RunResult,
 ) -> None:
     method = prep.method
     _expire(state, wb.expired_rids)
 
-    new_tuples, istats = _impute(spark, method, wb.arrived, prep, cfg, state)
+    new_tuples, istats = _impute(method, wb.arrived, prep, cfg, state)
     res.t_select += istats.t_select
     res.t_impute += istats.t_impute
     res.n_arrivals += wb.n_arrivals
@@ -335,10 +337,9 @@ def _run_measured_batch(
         )
         res.prune.add(st1)
         res.prune.add(st2)
-        allcand = pd.concat([cand, cand2], ignore_index=True)
         inst_of = {**state.tuples, **new_map}
         acc, n_inst, n_ref = _refine(
-            allcand, inst_of, gamma=cfg.gamma, alpha=cfg.alpha, early=fused
+            [cand, cand2], inst_of, gamma=cfg.gamma, alpha=cfg.alpha, early=fused
         )
         res.prune.pruned_instance += n_inst
         res.prune.refined += n_ref

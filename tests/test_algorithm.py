@@ -154,7 +154,7 @@ class TestWindowState:
             wb = next(batches, None)
             if wb is None:
                 break
-            _run_measured_batch(spark, small_ds, small_cfg, prep, wb, state, res)
+            _run_measured_batch(small_cfg, prep, wb, state, res)
         assert res.n_arrivals > 0
 
 

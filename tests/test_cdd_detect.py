@@ -1,6 +1,8 @@
 """Rule detection tests (paper §2.2 + the three rule flavors)."""
+import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.cdd import CDDRule
 from repro.core.cdd_detect import (
@@ -8,8 +10,10 @@ from repro.core.cdd_detect import (
     TAU_DD,
     detect_rules,
     sample_pair_profile,
+    spark_hash_long,
 )
 from repro.streams.stream_gen import D
+from tests.spark_reference import spark_pair_profile
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +115,50 @@ class TestDetectRules:
         a = detect_rules(spark, small_ds.repository, flavor="cdd", profile=profile)
         b = detect_rules(spark, small_ds.repository, flavor="cdd", profile=profile)
         assert a == b
+
+
+def _sorted_rows(profile: pd.DataFrame) -> pd.DataFrame:
+    return profile.sort_values(list(profile.columns)).reset_index(drop=True)
+
+
+def _job_mark(spark) -> int:
+    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
+    return max(ids) if ids else -1
+
+
+class TestDriverProfileEqualsSpark:
+    """The driver profile lists the pairs of the Spark join from the same
+    blocks, so its rows and every rule table fit from it are the same."""
+
+    def test_hash_matches_spark(self, spark):
+        edge = [0, 1, -1, 2**31 - 1, 2**31, 2**32, 2**63 - 1, -(2**63)]
+        rnd = np.random.default_rng(5).integers(-(2**63), 2**63 - 1, 1000, dtype=np.int64)
+        x = np.array(edge + rnd.tolist(), dtype=np.int64)
+        df = spark.createDataFrame(pd.DataFrame({"x": x}))
+        want = [r[0] for r in df.select(F.hash("x")).collect()]
+        got = spark_hash_long(x)
+        assert got.dtype == np.int32
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_rows_equal_spark_query(self, spark, small_ds, seed):
+        got = sample_pair_profile(None, small_ds.repository, seed=seed)
+        want = spark_pair_profile(spark, small_ds.repository, seed=seed)
+        assert list(got.dtypes) == list(want.dtypes)
+        pd.testing.assert_frame_equal(_sorted_rows(got), _sorted_rows(want),
+                                      check_exact=True)
+
+    @pytest.mark.parametrize("flavor", ["cdd", "dd", "er"])
+    def test_rule_tables_equal(self, spark, small_ds, profile, flavor):
+        want = spark_pair_profile(spark, small_ds.repository, seed=3)
+        assert detect_rules(None, small_ds.repository, flavor=flavor,
+                            profile=profile) == detect_rules(
+            None, small_ds.repository, flavor=flavor, profile=want)
+
+    def test_no_spark_jobs(self, spark, small_ds, small_cfg):
+        from repro.ter.algorithm import prepare
+
+        before = _job_mark(spark)
+        sample_pair_profile(spark, small_ds.repository, seed=1)
+        prepare(spark, small_ds, small_cfg, "ter")
+        assert _job_mark(spark) == before

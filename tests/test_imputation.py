@@ -262,7 +262,7 @@ class TestConImputer:
         p = prepared_ter
         window_values = small_ds.complete.head(60)
         tuples, stats = impute_batch_con(
-            spark, batch, window_values, p.pivots, keywords=p.keywords
+            batch, window_values, p.pivots, keywords=p.keywords
         )
         assert len(tuples) == len(batch)
         assert stats.n_incomplete == 8
@@ -274,9 +274,36 @@ class TestConImputer:
     def test_empty_window_leaves_missing(self, spark, batch, prepared_ter, small_ds):
         p = prepared_ter
         tuples, _ = impute_batch_con(
-            spark, batch, small_ds.complete.iloc[0:0], p.pivots, keywords=p.keywords
+            batch, small_ds.complete.iloc[0:0], p.pivots, keywords=p.keywords
         )
         inc_rids = set(batch[batch[ATTR_COLS].isna().any(axis=1)]["rid"].astype(int))
         for t in tuples:
             if t.rid in inc_rids:
                 assert any(a is None for a in t.instances[0].attrs)
+
+    def test_mode_tie_goes_to_smaller_value(self, batch, prepared_ter):
+        """Each attribute's fill is the DuckDB window mode: count descending,
+        then value ascending (byte order, which is code-point order)."""
+        p = prepared_ter
+        window = pd.DataFrame({
+            ATTR_COLS[0]: ["b x", "a y", "b x", "a y", "c"],      # tie: "a y"
+            ATTR_COLS[1]: ["zeta", "\u00e9clair", "zeta", "\u00e9clair", None],
+            ATTR_COLS[2]: ["a", "B", "a", "B", "a"],              # "a" by count
+            ATTR_COLS[3]: ["q", "p", "r", "s", "t"],              # all tie: "p"
+            ATTR_COLS[4]: ["B", "a", "B", "a", "a b"],            # tie: "B"
+        })
+        row = batch.head(1).copy()
+        row[ATTR_COLS] = None
+        (t,), _ = impute_batch_con(row, window, p.pivots, keywords=p.keywords)
+        (inst,) = t.instances
+        got = pd.DataFrame({"attr": range(len(ATTR_COLS)), "v": list(inst.attrs)})
+        assert list(inst.attrs) == ["a y", "zeta", "a", "p", "B"]
+        long = pd.DataFrame(
+            [(k, v) for k, c in enumerate(ATTR_COLS) for v in window[c].dropna()],
+            columns=["attr", "v"])
+        assert_equivalent(got, """
+            SELECT attr, v FROM (
+              SELECT attr, v, row_number() OVER (
+                PARTITION BY attr ORDER BY COUNT(*) DESC, v ASC) AS rk
+              FROM long GROUP BY attr, v)
+            WHERE rk = 1""", long=long)

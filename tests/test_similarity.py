@@ -9,13 +9,11 @@ from pyspark.sql import functions as F
 from repro.core.similarity import (
     dist_tuples,
     jaccard,
-    jaccard_col,
     jaccard_dist,
-    jaccard_dist_col,
     sim_tuples,
     tokens,
-    tokens_col,
 )
+from tests.spark_reference import jaccard_col, jaccard_dist_col, tokens_col
 
 
 class TestTokens:
