@@ -126,9 +126,6 @@ def run_method(
                                        method, max_batches)
     if key in _RUNS:
         return _RUNS[key]
-    # Micro-batches are small: a 64-way shuffle would measure task-dispatch
-    # overhead, not the algorithms.
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     ctx = get_context(spark, name, cfg, scale)
     prep = ctx.prep(spark, cfg, method)
     warm = get_warm(spark, ctx, cfg, method, _ds_key(name, cfg, scale))

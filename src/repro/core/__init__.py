@@ -1,6 +1,5 @@
 """Core TER-iDS algorithmic components (paper Sections 2-4).
 
-Pure-python kernels (testable against the paper's worked examples) plus the
-Spark column-expression builders shared by the indexes and the online
-pipeline.
+Pure-python and numpy kernels, run on the driver and testable against the
+paper's worked examples.
 """

@@ -106,7 +106,9 @@ def sample_pair_profile(
     either block. The blocks are those of the Spark SQL expressions
     ``pmod(hash(sid + seed), n_blocks)`` and ``cast(sid / 8 as int)``, so the
     rows equal those of the equivalent Spark join (``spark`` is not read).
-    Rows are in (l, r) repository order.
+    Rows are in (l, r) repository order. Values are tokenized by ``tokens``
+    (``str.split()``); Spark's ``split(value, " ")`` differs only on
+    whitespace other than the space, which generated values do not hold.
     """
     if n_blocks is None:
         n_blocks = max(1, len(repo) // 16)
@@ -214,7 +216,8 @@ def detect_rules(
     seed: int = 0,
     profile: pd.DataFrame | None = None,
 ) -> dict[int, list[CDDRule]]:
-    """Detect imputation rules for every dependent attribute.
+    """Detect imputation rules for every dependent attribute (``spark`` is
+    not read).
 
     Returns ``{dependent_attr: [rules]}``. ``flavor``:
     - ``"cdd"``: banded CDDs + editing fallback + level-2 lattice rules;

@@ -13,7 +13,7 @@ from repro.core.cdd_detect import (
     spark_hash_long,
 )
 from repro.streams.stream_gen import D
-from tests.spark_reference import spark_pair_profile
+from tests.spark_reference import job_mark, spark_pair_profile
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +121,6 @@ def _sorted_rows(profile: pd.DataFrame) -> pd.DataFrame:
     return profile.sort_values(list(profile.columns)).reset_index(drop=True)
 
 
-def _job_mark(spark) -> int:
-    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
-    return max(ids) if ids else -1
-
-
 class TestDriverProfileEqualsSpark:
     """The driver profile lists the pairs of the Spark join from the same
     blocks, so its rows and every rule table fit from it are the same."""
@@ -148,17 +143,20 @@ class TestDriverProfileEqualsSpark:
         pd.testing.assert_frame_equal(_sorted_rows(got), _sorted_rows(want),
                                       check_exact=True)
 
+    @pytest.fixture(scope="class")
+    def spark_profile(self, spark, small_ds):
+        return spark_pair_profile(spark, small_ds.repository, seed=3)
+
     @pytest.mark.parametrize("flavor", ["cdd", "dd", "er"])
-    def test_rule_tables_equal(self, spark, small_ds, profile, flavor):
-        want = spark_pair_profile(spark, small_ds.repository, seed=3)
+    def test_rule_tables_equal(self, small_ds, profile, spark_profile, flavor):
         assert detect_rules(None, small_ds.repository, flavor=flavor,
                             profile=profile) == detect_rules(
-            None, small_ds.repository, flavor=flavor, profile=want)
+            None, small_ds.repository, flavor=flavor, profile=spark_profile)
 
     def test_no_spark_jobs(self, spark, small_ds, small_cfg):
         from repro.ter.algorithm import prepare
 
-        before = _job_mark(spark)
+        before = job_mark(spark)
         sample_pair_profile(spark, small_ds.repository, seed=1)
         prepare(spark, small_ds, small_cfg, "ter")
-        assert _job_mark(spark) == before
+        assert job_mark(spark) == before

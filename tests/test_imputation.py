@@ -19,6 +19,7 @@ from repro.core.similarity import jaccard_dist, tokens
 from repro.index.cdd_index import CDDIndex
 from repro.oracle import assert_equivalent
 from repro.streams.stream_gen import ATTR_COLS
+from tests.spark_reference import job_mark
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +52,6 @@ def _dom_pairs_frame(dr) -> pd.DataFrame:
         [(k, u, v, d) for (k, u), lst in dr.dom_pairs.items() for v, d in lst],
         columns=["attr", "u", "v", "dist"],
     )
-
-
-def _job_mark(spark) -> int:
-    """Highest Spark job id so far."""
-    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
-    return max(ids) if ids else -1
 
 
 class TestRetrieveSamples:
@@ -249,12 +244,12 @@ class TestImputeBatch:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_no_spark_jobs(self, spark, batch, prepared_ter, indexed):
         p = prepared_ter
-        before = _job_mark(spark)
+        before = job_mark(spark)
         _, stats = impute_batch(
             batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=indexed
         )
         assert stats.n_samples > 0
-        assert _job_mark(spark) == before
+        assert job_mark(spark) == before
 
 
 class TestConImputer:
