@@ -130,7 +130,7 @@ def sample_pair_profile(
         toks = [tokens(v) for v in repo[c].tolist()]
         prof[f"d{k}"] = np.array(
             [jaccard_dist(toks[i], toks[j]) for i, j in zip(lo, hi)], dtype=np.float64)
-    return pd.DataFrame(prof, columns=[f"d{k}" for k in range(D)])
+    return pd.DataFrame(prof)
 
 
 def _fit_single(
