@@ -7,6 +7,6 @@ from repro.bench.harness import print_rows, run_table
 
 
 def test_t4_datasets(benchmark):
-    rows = benchmark.pedantic(lambda: run_table(None, "T4"), rounds=1, iterations=1)
+    rows = benchmark.pedantic(lambda: run_table("T4"), rounds=1, iterations=1)
     print_rows(rows)
     assert len(rows) == 5

@@ -2,9 +2,9 @@
 from repro.bench.harness import print_rows, run_table
 
 
-def test_p1_pruning_power(spark, benchmark):
+def test_p1_pruning_power(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_table(spark, "P1"), rounds=1, iterations=1
+        lambda: run_table("P1"), rounds=1, iterations=1
     )
     print_rows(rows)
     for r in rows:

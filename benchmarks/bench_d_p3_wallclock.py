@@ -4,9 +4,9 @@ import pandas as pd
 from repro.bench.harness import print_rows, run_table
 
 
-def test_p3_wallclock(spark, benchmark):
+def test_p3_wallclock(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_table(spark, "P3"), rounds=1, iterations=1
+        lambda: run_table("P3"), rounds=1, iterations=1
     )
     print_rows(rows)
     df = pd.DataFrame(rows)

@@ -2,9 +2,9 @@
 from repro.bench.harness import print_rows, run_table
 
 
-def test_p4_breakup(spark, benchmark):
+def test_p4_breakup(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_table(spark, "P4"), rounds=1, iterations=1
+        lambda: run_table("P4"), rounds=1, iterations=1
     )
     print_rows(rows)
     for r in rows:

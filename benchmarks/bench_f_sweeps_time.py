@@ -41,9 +41,9 @@ def _monotone_ter(df: pd.DataFrame, param: str, increasing: bool) -> None:
         ("P13", "m", True),       # more missing attributes
     ],
 )
-def test_time_sweep(spark, benchmark, table, param, increasing):
+def test_time_sweep(benchmark, table, param, increasing):
     rows = benchmark.pedantic(
-        lambda: run_table(spark, table, max_batches=1), rounds=1, iterations=1
+        lambda: run_table(table, max_batches=1), rounds=1, iterations=1
     )
     print_rows(rows)
     df = pd.DataFrame(rows)

@@ -13,9 +13,9 @@ def _ter(df: pd.DataFrame, param: str) -> pd.Series:
     "table,param",
     [("P9", "xi"), ("P10", "eta"), ("P11", "m")],
 )
-def test_fscore_sweep(spark, benchmark, table, param):
+def test_fscore_sweep(benchmark, table, param):
     rows = benchmark.pedantic(
-        lambda: run_table(spark, table, max_batches=2), rounds=1, iterations=1
+        lambda: run_table(table, max_batches=2), rounds=1, iterations=1
     )
     print_rows(rows)
     df = pd.DataFrame(rows)

@@ -1,14 +1,12 @@
-"""spark-submit entrypoint: reproduce one results table.
+"""Reproduce one results table.
 
-    spark-submit jobs/run_table.py P3
-    python jobs/run_table.py P1 P2      # local[*] via pyspark defaults
+    python jobs/run_table.py P3
+    python jobs/run_table.py P1 P2
 
 Rows are printed and appended to results/measured.json (the EXPERIMENTS.md
 source). Table ids: T4, P1-P13 (DESIGN.md §3).
 """
 import sys
-
-from pyspark.sql import SparkSession
 
 from repro.bench.harness import TABLES, print_rows, run_table
 
@@ -18,15 +16,9 @@ def main(argv: list[str]) -> None:
     unknown = [t for t in tables if t not in TABLES]
     if unknown:
         raise SystemExit(f"unknown tables {unknown}; choose from {sorted(TABLES)}")
-    spark = (
-        SparkSession.builder.appName("ter-ids-tables")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.sql.shuffle.partitions", "8")
-        .getOrCreate()
-    )
     for t in tables:
         print(f"=== {t} ===")
-        print_rows(run_table(spark, t))
+        print_rows(run_table(t))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from pathlib import Path
-
-import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.config import PARAM_GRID, TERConfig
 from repro.core.cdd_detect import sample_pair_profile
@@ -74,17 +70,17 @@ def get_dataset(name: str, cfg: TERConfig, scale: float = BENCH_SCALE) -> Datase
 class Context:
     """Shared offline products for one generated dataset."""
 
-    def __init__(self, spark: SparkSession, ds: Dataset, cfg: TERConfig):
+    def __init__(self, ds: Dataset, cfg: TERConfig):
         self.ds = ds
-        self.profile = sample_pair_profile(spark, ds.repository, seed=cfg.seed)
+        self.profile = sample_pair_profile(None, ds.repository, seed=cfg.seed)
         self.pivots = select_pivots_for(ds, cfg)
         self.dr = build_dr_index(
-            spark, ds.repository, self.pivots,
+            None, ds.repository, self.pivots,
             n_buckets=cfg.pivot_buckets, max_dep_hi=DOM_PAIRS_CUTOFF,
         )
         self.preps: dict[str, Prepared] = {}
 
-    def prep(self, spark: SparkSession, cfg: TERConfig, method: str) -> Prepared:
+    def prep(self, cfg: TERConfig, method: str) -> Prepared:
         """Rules are detected and indexed once per flavor; methods sharing a
         flavor get a copy that differs only in ``method``."""
         if method not in self.preps:
@@ -92,31 +88,29 @@ class Context:
             same = [p for p in self.preps.values() if warmup_flavor(p.method) == flavor]
             self.preps[method] = (
                 dataclasses.replace(same[0], method=method) if same else prepare(
-                    spark, self.ds, cfg, method,
+                    None, self.ds, cfg, method,
                     profile=self.profile, pivots=self.pivots, dr=self.dr,
                 )
             )
         return self.preps[method]
 
 
-def get_context(spark: SparkSession, name: str, cfg: TERConfig,
-                scale: float = BENCH_SCALE) -> Context:
+def get_context(name: str, cfg: TERConfig, scale: float = BENCH_SCALE) -> Context:
     key = _ds_key(name, cfg, scale)
     if key not in _CONTEXTS:
-        _CONTEXTS[key] = Context(spark, get_dataset(name, cfg, scale), cfg)
+        _CONTEXTS[key] = Context(get_dataset(name, cfg, scale), cfg)
     return _CONTEXTS[key]
 
 
-def get_warm(spark: SparkSession, ctx: Context, cfg: TERConfig, method: str,
-             key: tuple):
+def get_warm(ctx: Context, cfg: TERConfig, method: str, key: tuple):
     wkey = key + (warmup_flavor(method), cfg.w, cfg.batch_size)
     if wkey not in _WARMUPS:
-        _WARMUPS[wkey] = warmup(spark, ctx.ds, cfg, ctx.prep(spark, cfg, method))
+        _WARMUPS[wkey] = warmup(None, ctx.ds, cfg, ctx.prep(cfg, method))
     return _WARMUPS[wkey]
 
 
 def run_method(
-    spark: SparkSession, name: str, cfg: TERConfig, method: str,
+    name: str, cfg: TERConfig, method: str,
     *, scale: float = BENCH_SCALE, max_batches: int = BENCH_BATCHES,
 ) -> RunResult:
     """Run one (dataset, cfg, method) measurement; memoized so tables that
@@ -126,20 +120,20 @@ def run_method(
                                        method, max_batches)
     if key in _RUNS:
         return _RUNS[key]
-    ctx = get_context(spark, name, cfg, scale)
-    prep = ctx.prep(spark, cfg, method)
-    warm = get_warm(spark, ctx, cfg, method, _ds_key(name, cfg, scale))
-    res = run_stream(spark, ctx.ds, cfg, prep, max_batches=max_batches, warm=warm)
+    ctx = get_context(name, cfg, scale)
+    prep = ctx.prep(cfg, method)
+    warm = get_warm(ctx, cfg, method, _ds_key(name, cfg, scale))
+    res = run_stream(None, ctx.ds, cfg, prep, max_batches=max_batches, warm=warm)
     _RUNS[key] = res
     return res
 
 
 def method_fscore(
-    spark: SparkSession, name: str, cfg: TERConfig, method: str,
+    name: str, cfg: TERConfig, method: str,
     *, scale: float = BENCH_SCALE, max_batches: int = BENCH_BATCHES,
 ):
-    res = run_method(spark, name, cfg, method, scale=scale, max_batches=max_batches)
-    truth = truth_pairs(spark, get_dataset(name, cfg, scale), cfg,
+    res = run_method(name, cfg, method, scale=scale, max_batches=max_batches)
+    truth = truth_pairs(None, get_dataset(name, cfg, scale), cfg,
                         max_batches=max_batches)
     return f_score(set(res.pairs), truth)
 
@@ -169,24 +163,24 @@ def table_t4(scale: float = BENCH_SCALE) -> list[dict]:
     return rows
 
 
-def table_p1(spark: SparkSession, datasets: list[str] | None = None) -> list[dict]:
+def table_p1(datasets: list[str] | None = None) -> list[dict]:
     """P1 (Fig. 4): pruning power per strategy per dataset (TER-iDS)."""
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
-        res = run_method(spark, name, cfg, "ter")
+        res = run_method(name, cfg, "ter")
         pp = pruning_power(res.prune)
         rows.append({"table": "P1", "dataset": name, **{k: round(v, 4) for k, v in pp.items()}})
     return rows
 
 
-def table_p2(spark: SparkSession, datasets: list[str] | None = None) -> list[dict]:
+def table_p2(datasets: list[str] | None = None) -> list[dict]:
     """P2 (Fig. 5a): F-score of TER-iDS vs DD+ER, er+ER, con+ER."""
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
         for method in ("ter", "dd_er", "er_er", "con_er"):
-            fs = method_fscore(spark, name, cfg, method)
+            fs = method_fscore(name, cfg, method)
             rows.append(
                 {
                     "table": "P2", "dataset": name, "method": method,
@@ -198,13 +192,13 @@ def table_p2(spark: SparkSession, datasets: list[str] | None = None) -> list[dic
     return rows
 
 
-def table_p3(spark: SparkSession, datasets: list[str] | None = None) -> list[dict]:
+def table_p3(datasets: list[str] | None = None) -> list[dict]:
     """P3 (Fig. 5b): wall clock per arrival, TER-iDS vs 5 baselines."""
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
         for method in METHODS:
-            res = run_method(spark, name, cfg, method)
+            res = run_method(name, cfg, method)
             # pairs the method had to evaluate exactly (Eq. 2) — the
             # substrate-independent work metric (see EXPERIMENTS.md)
             evaluated = res.prune.refined + res.prune.pruned_instance
@@ -222,12 +216,12 @@ def table_p3(spark: SparkSession, datasets: list[str] | None = None) -> list[dic
     return rows
 
 
-def table_p4(spark: SparkSession, datasets: list[str] | None = None) -> list[dict]:
+def table_p4(datasets: list[str] | None = None) -> list[dict]:
     """P4 (Fig. 6): TER-iDS break-up cost (CDD select / impute / ER)."""
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
-        res = run_method(spark, name, cfg, "ter")
+        res = run_method(name, cfg, "ter")
         n = max(1, res.n_arrivals)
         rows.append(
             {
@@ -241,7 +235,7 @@ def table_p4(spark: SparkSession, datasets: list[str] | None = None) -> list[dic
 
 
 def _sweep(
-    spark: SparkSession, table: str, param: str, values: list, *,
+    table: str, param: str, values: list, *,
     methods: list[str], measure: str, datasets: list[str] | None = None,
     max_batches: int = BENCH_BATCHES,
 ) -> list[dict]:
@@ -258,7 +252,7 @@ def _sweep(
                     continue
             for method in methods:
                 if measure == "time":
-                    res = run_method(spark, name, cfg, method, max_batches=max_batches)
+                    res = run_method(name, cfg, method, max_batches=max_batches)
                     rows.append(
                         {
                             "table": table, "dataset": name, param: v,
@@ -267,7 +261,7 @@ def _sweep(
                         }
                     )
                 else:
-                    fs = method_fscore(spark, name, cfg, method, max_batches=max_batches)
+                    fs = method_fscore(name, cfg, method, max_batches=max_batches)
                     rows.append(
                         {
                             "table": table, "dataset": name, param: v,
@@ -280,62 +274,62 @@ def _sweep(
 ACC_METHODS = ["ter", "dd_er", "er_er", "con_er"]
 
 
-def table_p5(spark, **kw):
+def table_p5(**kw):
     """P5 (Fig. 7): time vs probabilistic threshold alpha."""
-    return _sweep(spark, "P5", "alpha", PARAM_GRID["alpha"], methods=METHODS,
+    return _sweep("P5", "alpha", PARAM_GRID["alpha"], methods=METHODS,
                   measure="time", **kw)
 
 
-def table_p6(spark, **kw):
+def table_p6(**kw):
     """P6 (Fig. 8): time vs similarity-threshold ratio rho."""
-    return _sweep(spark, "P6", "rho", PARAM_GRID["rho"], methods=METHODS,
+    return _sweep("P6", "rho", PARAM_GRID["rho"], methods=METHODS,
                   measure="time", **kw)
 
 
-def table_p7(spark, **kw):
+def table_p7(**kw):
     """P7 (Fig. 9): time vs missing rate xi."""
-    return _sweep(spark, "P7", "xi", PARAM_GRID["xi"], methods=METHODS,
+    return _sweep("P7", "xi", PARAM_GRID["xi"], methods=METHODS,
                   measure="time", **kw)
 
 
-def table_p8(spark, **kw):
+def table_p8(**kw):
     """P8 (Fig. 10): time vs window size w."""
-    return _sweep(spark, "P8", "w", PARAM_GRID["w"], methods=METHODS,
+    return _sweep("P8", "w", PARAM_GRID["w"], methods=METHODS,
                   measure="time", **kw)
 
 
-def table_p9(spark, **kw):
+def table_p9(**kw):
     """P9 (Fig. 13): F-score vs missing rate xi."""
-    return _sweep(spark, "P9", "xi", PARAM_GRID["xi"], methods=ACC_METHODS,
+    return _sweep("P9", "xi", PARAM_GRID["xi"], methods=ACC_METHODS,
                   measure="f", **kw)
 
 
-def table_p10(spark, **kw):
+def table_p10(**kw):
     """P10 (Fig. 14): F-score vs repository ratio eta."""
-    return _sweep(spark, "P10", "eta", PARAM_GRID["eta"], methods=ACC_METHODS,
+    return _sweep("P10", "eta", PARAM_GRID["eta"], methods=ACC_METHODS,
                   measure="f", **kw)
 
 
-def table_p11(spark, **kw):
+def table_p11(**kw):
     """P11 (Fig. 15): F-score vs number of missing attributes m."""
-    return _sweep(spark, "P11", "m", PARAM_GRID["m"], methods=ACC_METHODS,
+    return _sweep("P11", "m", PARAM_GRID["m"], methods=ACC_METHODS,
                   measure="f", **kw)
 
 
-def table_p12(spark, **kw):
+def table_p12(**kw):
     """P12 (Fig. 16): time vs repository ratio eta."""
-    return _sweep(spark, "P12", "eta", PARAM_GRID["eta"], methods=METHODS,
+    return _sweep("P12", "eta", PARAM_GRID["eta"], methods=METHODS,
                   measure="time", **kw)
 
 
-def table_p13(spark, **kw):
+def table_p13(**kw):
     """P13 (Fig. 17): time vs number of missing attributes m."""
-    return _sweep(spark, "P13", "m", PARAM_GRID["m"], methods=METHODS,
+    return _sweep("P13", "m", PARAM_GRID["m"], methods=METHODS,
                   measure="time", **kw)
 
 
 TABLES = {
-    "T4": lambda spark=None, **kw: table_t4(**kw),
+    "T4": table_t4,
     "P1": table_p1, "P2": table_p2, "P3": table_p3, "P4": table_p4,
     "P5": table_p5, "P6": table_p6, "P7": table_p7, "P8": table_p8,
     "P9": table_p9, "P10": table_p10, "P11": table_p11, "P12": table_p12,
@@ -364,7 +358,7 @@ def save_rows(rows: list[dict]) -> None:
     RESULTS_PATH.write_text(json.dumps(existing + rows, indent=1))
 
 
-def run_table(spark, table: str, **kw) -> list[dict]:
-    rows = TABLES[table](spark, **kw)
+def run_table(table: str, **kw) -> list[dict]:
+    rows = TABLES[table](**kw)
     save_rows(rows)
     return rows

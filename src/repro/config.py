@@ -39,9 +39,9 @@ class TERConfig:
     eta: float = 0.3                # |R| / stream-size ratio
     m: int = 1                      # number of missing attributes per tuple
     # --- engineering knobs (not in the paper's grid) ---
-    # Arrivals per stream per micro-batch. 200 (=400 arrivals/step with two
-    # streams) is large enough that per-batch work, not Spark job-dispatch
-    # overhead, dominates the measured wall clock (DESIGN.md §2.2).
+    # Arrivals per stream per micro-batch (DESIGN.md §2.2). 200 (=400
+    # arrivals/step with two streams) replaces a fifth of the default window
+    # per step.
     batch_size: int = 200
     max_instances: int = 8          # cap on probabilistic instances per tuple
     # |K|: query topic keyword set size. With topic_frac=0.19 of entities
@@ -63,6 +63,3 @@ class TERConfig:
     def with_(self, **kw) -> "TERConfig":
         """Return a copy with some fields replaced (sweep helper)."""
         return replace(self, **kw)
-
-
-DEFAULT_CONFIG = TERConfig()

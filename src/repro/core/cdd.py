@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-#: Sentinel interval the paper stores in aR-trees for "determinant missing".
-MISSING_INTERVAL = (-1.0, -1.0)
-
 
 @dataclass(frozen=True)
 class Constraint:

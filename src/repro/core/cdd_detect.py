@@ -105,10 +105,12 @@ def sample_pair_profile(
     A pair ``(l, r)`` with ``l.sid < r.sid`` is kept once when it shares
     either block. The blocks are those of the Spark SQL expressions
     ``pmod(hash(sid + seed), n_blocks)`` and ``cast(sid / 8 as int)``, so the
-    rows equal those of the equivalent Spark join (``spark`` is not read).
-    Rows are in (l, r) repository order. Values are tokenized by ``tokens``
-    (``str.split()``); Spark's ``split(value, " ")`` differs only on
-    whitespace other than the space, which generated values do not hold.
+    rows equal those of the equivalent Spark join. Rows are in (l, r)
+    repository order. Values are tokenized by ``tokens`` (``str.split()``);
+    Spark's ``split(value, " ")`` differs only on whitespace other than the
+    space, which generated values do not hold.
+
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5.
     """
     if n_blocks is None:
         n_blocks = max(1, len(repo) // 16)
@@ -208,7 +210,6 @@ def _editing_rules(profile: pd.DataFrame, j: int, *, tau: float = TAU_CDD) -> li
 
 
 def detect_rules(
-    spark,
     repo: pd.DataFrame,
     *,
     flavor: str = "cdd",
@@ -216,8 +217,7 @@ def detect_rules(
     seed: int = 0,
     profile: pd.DataFrame | None = None,
 ) -> dict[int, list[CDDRule]]:
-    """Detect imputation rules for every dependent attribute (``spark`` is
-    not read).
+    """Detect imputation rules for every dependent attribute.
 
     Returns ``{dependent_attr: [rules]}``. ``flavor``:
     - ``"cdd"``: banded CDDs + editing fallback + level-2 lattice rules;
@@ -225,7 +225,7 @@ def detect_rules(
     - ``"er"``:  editing rules only (the er+ER baseline).
     """
     if profile is None:
-        profile = sample_pair_profile(spark, repo, seed=seed)
+        profile = sample_pair_profile(None, repo, seed=seed)
     out: dict[int, list[CDDRule]] = {}
     for j in range(D):
         rules: list[CDDRule] = []

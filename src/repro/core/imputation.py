@@ -24,8 +24,7 @@ candidate cross product (capped + renormalized, DESIGN.md).
 ``impute_batch`` covers the cdd/dd/er flavors (they differ only in the rule
 set and whether the DR-index is used); ``impute_batch_con`` implements the
 constraint-based baseline [43], which fills each missing attribute with its
-mode over the current *window* (no repository access). Neither makes a
-Spark call.
+mode over the current *window* (no repository access).
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ call them. ``tokens`` splits on any whitespace (``str.split()``).
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 
 def tokens(value: str | None) -> frozenset[str]:
@@ -22,20 +22,19 @@ def tokens(value: str | None) -> frozenset[str]:
     return frozenset(t for t in value.split() if t)
 
 
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
+def jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
     """Jaccard similarity |A∩B| / |A∪B| between two token sets.
 
     Two empty sets are defined to have similarity 0 (an empty attribute never
     contributes evidence that two tuples match).
     """
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
+    union = len(a | b)
     if union == 0:
         return 0.0
-    return len(sa & sb) / union
+    return len(a & b) / union
 
 
-def jaccard_dist(a: Iterable[str], b: Iterable[str]) -> float:
+def jaccard_dist(a: AbstractSet[str], b: AbstractSet[str]) -> float:
     """Jaccard distance ``1 - jaccard`` (metric; triangle inequality holds)."""
     return 1.0 - jaccard(a, b)
 

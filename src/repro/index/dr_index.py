@@ -95,10 +95,9 @@ def build_dr_index(
 ) -> DRIndex:
     """Build the DR-index over the repository (one-time, offline phase).
 
-    ``spark``, ``pivots`` and ``n_buckets`` are not read: no query probes the
-    repository by pivot distance, and the build runs on the driver. They are
-    kept so that ``streambench/run.py`` and ``bench/harness.py`` call it
-    unchanged.
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5.
+    ``pivots`` and ``n_buckets`` are not read either: no query probes the
+    repository by pivot distance.
     """
     sids = [int(s) for s in repo_pdf["sid"]]
     values = list(repo_pdf[ATTR_COLS].itertuples(index=False, name=None))

@@ -22,8 +22,7 @@ Methods (paper §6.1):
 
 All ER runs on the driver with one Eq. (2) kernel: ``ter``/``ij_ger`` refine
 the grid's surviving pairs with it, and the four unindexed baselines evaluate
-every cross-stream pair with it (``baselines.exact_er_spark``). Neither the
-offline phase nor a measured batch of any method launches a Spark job.
+every cross-stream pair with it (``baselines.exact_er_spark``).
 
 Warmup always retrieves imputation samples through the DR-index regardless of
 method — the postings probe is *exactly* equivalent to a scan of all of R
@@ -38,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.config import TERConfig
 from repro.core.cdd_detect import detect_rules, sample_pair_profile
@@ -147,7 +145,7 @@ def select_pivots_for(ds: Dataset, cfg: TERConfig) -> dict:
 
 
 def prepare(
-    spark: SparkSession,
+    spark,
     ds: Dataset,
     cfg: TERConfig,
     method: str,
@@ -158,19 +156,21 @@ def prepare(
 ) -> Prepared:
     """Offline phase. ``profile``/``pivots``/``dr`` may be passed in to share
     the method-independent products across methods (the DR-index is built
-    with the flavor-agnostic DOM_PAIRS_CUTOFF, so it serves every flavor)."""
+    with the flavor-agnostic DOM_PAIRS_CUTOFF, so it serves every flavor).
+
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     if pivots is None:
         pivots = select_pivots_for(ds, cfg)
     keywords = ds.keywords[: cfg.n_topic_keywords]
     if method == "con_er":
         return Prepared(method, pivots, None, None, keywords)
     if profile is None:
-        profile = sample_pair_profile(spark, ds.repository, seed=cfg.seed)
-    rules = detect_rules(spark, ds.repository, flavor=_FLAVOR[method], profile=profile)
+        profile = sample_pair_profile(None, ds.repository, seed=cfg.seed)
+    rules = detect_rules(ds.repository, flavor=_FLAVOR[method], profile=profile)
     cddx = build_cdd_index(rules)
     if dr is None:
         dr = build_dr_index(
-            spark,
+            None,
             ds.repository,
             pivots,
             n_buckets=cfg.pivot_buckets,
@@ -254,13 +254,13 @@ def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTupl
     state.values = _append(state.values, {c: arrived[c].to_numpy() for c in state.values})
 
 
-def warmup(
-    spark: SparkSession, ds: Dataset, cfg: TERConfig, prep: Prepared
-) -> TERState:
+def warmup(spark, ds: Dataset, cfg: TERConfig, prep: Prepared) -> TERState:
     """Process the window-fill batch (step 0) into a reusable TERState.
 
     Unmeasured; imputation always goes through the DR-index (equivalent
-    results, bounded setup cost)."""
+    results, bounded setup cost).
+
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     state = TERState()
     for wb in sliding_batches(ds.stream, w=cfg.w, batch_size=cfg.batch_size,
                               max_batches=0):
@@ -282,7 +282,7 @@ def _fill(cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
 
 
 def run_stream(
-    spark: SparkSession,
+    spark,
     ds: Dataset,
     cfg: TERConfig,
     prep: Prepared,
@@ -293,7 +293,9 @@ def run_stream(
     """Drive measured micro-batches over the sliding window.
 
     ``warm``: a warmup state snapshot (from :func:`warmup`) to resume from —
-    it is cloned, never mutated, so one snapshot serves a whole sweep."""
+    it is cloned, never mutated, so one snapshot serves a whole sweep.
+
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     method = prep.method
     res = RunResult(method=method)
     state = warm.clone() if warm is not None else None

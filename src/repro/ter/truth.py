@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.config import TERConfig
 from repro.core.probability import Instance
@@ -66,11 +65,11 @@ def _pairs_iter(ds: Dataset, cfg: TERConfig, max_batches: int):
 
 
 def truth_pairs(
-    spark: SparkSession, ds: Dataset, cfg: TERConfig, *, max_batches: int = 3
+    spark, ds: Dataset, cfg: TERConfig, *, max_batches: int = 3
 ) -> set[frozenset]:
     """Reference matching-pair set for a run with the given schedule.
 
-    ``spark`` is not read; callers pass it positionally, so it stays."""
+    ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     keywords = ds.keywords[: cfg.n_topic_keywords]
     out: set[frozenset] = set()
     for arrived, pool in _pairs_iter(ds, cfg, max_batches):

@@ -1,7 +1,7 @@
 """Shared fixtures: a small generated dataset and prepared TER context.
 
 Session-scoped — the offline phase (pivot selection, rule detection, index
-builds) runs once and is reused by all Spark-pipeline tests.
+builds) runs once and is reused by every test that needs it.
 """
 import pytest
 
@@ -28,7 +28,7 @@ def small_ds(small_cfg):
 
 
 @pytest.fixture(scope="session")
-def prepared_ter(spark, small_ds, small_cfg):
+def prepared_ter(small_ds, small_cfg):
     from repro.ter.algorithm import prepare
 
-    return prepare(spark, small_ds, small_cfg, "ter")
+    return prepare(None, small_ds, small_cfg, "ter")

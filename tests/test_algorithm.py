@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.harness import Context
 from repro.index.er_grid import PruneStats
-from repro.streams.window import sliding_batches
+from repro.streams.window import WindowBatch, sliding_batches
 from repro.ter.algorithm import METHODS, prepare, run_stream
 from repro.ter.metrics import f_score, pruning_power
 from repro.ter.truth import truth_pairs
@@ -20,12 +20,17 @@ MAX_BATCHES = 2
 
 
 @pytest.fixture(scope="module")
-def runs(spark, small_ds, small_cfg):
-    """Run every method once on the small dataset. The profile, pivots and
-    one DR-index are shared across methods, and one rule set per flavor."""
-    ctx = Context(spark, small_ds, small_cfg)
+def ctx(small_ds, small_cfg):
+    """The profile, pivots and one DR-index shared across methods, and one
+    rule set per flavor."""
+    return Context(small_ds, small_cfg)
+
+
+@pytest.fixture(scope="module")
+def runs(ctx, small_ds, small_cfg):
+    """Run every method once on the small dataset."""
     return {
-        m: run_stream(spark, small_ds, small_cfg, ctx.prep(spark, small_cfg, m),
+        m: run_stream(None, small_ds, small_cfg, ctx.prep(small_cfg, m),
                       max_batches=MAX_BATCHES)
         for m in METHODS
     }
@@ -135,7 +140,7 @@ class TestWindowState:
     also when one stream fills before the other."""
 
     @pytest.mark.parametrize("method", ["ter", "cdd_er"])
-    def test_state_is_the_window(self, spark, small_ds, small_cfg, prepared_ter, method):
+    def test_state_is_the_window(self, small_ds, small_cfg, prepared_ter, method):
         from repro.ter.algorithm import RunResult, _run_measured_batch, warmup
 
         prep = dataclasses.replace(prepared_ter, method=method)
@@ -144,7 +149,7 @@ class TestWindowState:
                                   max_batches=MAX_BATCHES)
         wb = next(batches)
         assert wb.expired_rids, "the fill should overflow one stream"
-        state = warmup(spark, small_ds, small_cfg, prep)
+        state = warmup(None, small_ds, small_cfg, prep)
         res = RunResult(method)
         while True:
             want = (set(wb.window_before["rid"]) | set(wb.arrived["rid"])) - set(
@@ -158,47 +163,69 @@ class TestWindowState:
         assert res.n_arrivals > 0
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_batch_is_a_no_op(self, ctx, small_ds, small_cfg, method):
+        """A micro-batch with no arrivals and no expiries reports nothing,
+        prunes nothing and leaves the window state as it was."""
+        from repro.ter.algorithm import RunResult, _run_measured_batch, warmup
+
+        prep = ctx.prep(small_cfg, method)
+        state = warmup(None, small_ds, small_cfg, prep)
+        before = (sorted(state.tuples), state.aggs["rid"].tolist(),
+                  state.values["rid"].tolist())
+        empty = small_ds.stream.iloc[0:0]
+        res = RunResult(method)
+        _run_measured_batch(small_cfg, prep, WindowBatch(1, empty, [], empty, 0),
+                            state, res)
+        assert res.pairs == {}
+        assert res.prune == PruneStats()
+        assert res.n_arrivals == 0
+        assert (sorted(state.tuples), state.aggs["rid"].tolist(),
+                state.values["rid"].tolist()) == before
+
+
 class TestFScore:
-    def test_truth_nonempty(self, spark, small_ds, small_cfg):
-        truth = truth_pairs(spark, small_ds, small_cfg, max_batches=MAX_BATCHES)
+    def test_truth_nonempty(self, small_ds, small_cfg):
+        truth = truth_pairs(None, small_ds, small_cfg, max_batches=MAX_BATCHES)
         assert len(truth) > 0
 
-    def test_ter_fscore_high(self, spark, small_ds, small_cfg, runs):
-        truth = truth_pairs(spark, small_ds, small_cfg, max_batches=MAX_BATCHES)
+    def test_ter_fscore_high(self, small_ds, small_cfg, runs):
+        truth = truth_pairs(None, small_ds, small_cfg, max_batches=MAX_BATCHES)
         fs = f_score(set(runs["ter"].pairs), truth)
         assert fs.f > 0.6, fs
 
-    def test_accuracy_ordering_ter_vs_con(self, spark, small_ds, small_cfg, runs):
+    def test_accuracy_ordering_ter_vs_con(self, small_ds, small_cfg, runs):
         """Fig. 5(a) shape: CDD-based TER-iDS beats the constraint-based
         imputation baseline."""
-        truth = truth_pairs(spark, small_ds, small_cfg, max_batches=MAX_BATCHES)
+        truth = truth_pairs(None, small_ds, small_cfg, max_batches=MAX_BATCHES)
         f_ter = f_score(set(runs["ter"].pairs), truth).f
         f_con = f_score(set(runs["con_er"].pairs), truth).f
         assert f_ter >= f_con
 
 
 class TestWarmupReuse:
-    def test_warm_equals_cold(self, spark, small_ds, small_cfg, prepared_ter):
+    def test_warm_equals_cold(self, small_ds, small_cfg, prepared_ter):
         """Resuming from a warmup snapshot yields the same results as a cold
         run (the sweep-bench fast path is semantics-preserving)."""
         from repro.ter.algorithm import run_stream as rs, warmup
 
-        warm = warmup(spark, small_ds, small_cfg, prepared_ter)
-        r_warm = rs(spark, small_ds, small_cfg, prepared_ter,
+        warm = warmup(None, small_ds, small_cfg, prepared_ter)
+        r_warm = rs(None, small_ds, small_cfg, prepared_ter,
                     max_batches=MAX_BATCHES, warm=warm)
-        r_cold = rs(spark, small_ds, small_cfg, prepared_ter,
+        r_cold = rs(None, small_ds, small_cfg, prepared_ter,
                     max_batches=MAX_BATCHES)
         assert set(r_warm.pairs) == set(r_cold.pairs)
         assert r_warm.prune == r_cold.prune
 
-    def test_warm_state_not_mutated(self, spark, small_ds, small_cfg, prepared_ter):
+    def test_warm_state_not_mutated(self, small_ds, small_cfg, prepared_ter):
         from repro.ter.algorithm import run_stream as rs, warmup
 
-        warm = warmup(spark, small_ds, small_cfg, prepared_ter)
+        warm = warmup(None, small_ds, small_cfg, prepared_ter)
         n_tuples = len(warm.tuples)
         n_aggs = len(warm.aggs["rid"])
-        r1 = rs(spark, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
-        r2 = rs(spark, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
+        r1 = rs(None, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
+        r2 = rs(None, small_ds, small_cfg, prepared_ter, max_batches=1, warm=warm)
         assert len(warm.tuples) == n_tuples and len(warm.aggs["rid"]) == n_aggs
         assert set(r1.pairs) == set(r2.pairs)
 
@@ -211,9 +238,9 @@ class TestWarmupReuse:
 
 
 class TestPrepare:
-    def test_prepare_shares_pivots(self, spark, small_ds, small_cfg, prepared_ter):
+    def test_prepare_shares_pivots(self, small_ds, small_cfg, prepared_ter):
         p2 = prepare(
-            spark, small_ds, small_cfg, "con_er", pivots=prepared_ter.pivots
+            None, small_ds, small_cfg, "con_er", pivots=prepared_ter.pivots
         )
         assert p2.pivots is prepared_ter.pivots
         assert p2.dr is None and p2.cddx is None

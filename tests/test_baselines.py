@@ -150,13 +150,3 @@ class TestExactErSpark:
         a, b = _tup(1, 0, [(attrs, 1.0)]), _tup(2, 1, [(attrs, 1.0)])
         assert not a.instances[0].has_kw
         assert exact_er_spark([a], [b], gamma=0.0, alpha=0.0) == []
-
-    def test_no_spark_jobs(self, spark):
-        def job_mark() -> int:
-            ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
-            return max(ids) if ids else -1
-
-        pop = _pop()
-        before = job_mark()
-        assert exact_er_spark(pop[:6], pop, gamma=1.5, alpha=0.1)
-        assert job_mark() == before

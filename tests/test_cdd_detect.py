@@ -13,12 +13,12 @@ from repro.core.cdd_detect import (
     spark_hash_long,
 )
 from repro.streams.stream_gen import D
-from tests.spark_reference import job_mark, spark_pair_profile
+from tests.spark_reference import spark_pair_profile
 
 
 @pytest.fixture(scope="module")
-def profile(spark, small_ds):
-    return sample_pair_profile(spark, small_ds.repository, seed=3)
+def profile(small_ds):
+    return sample_pair_profile(None, small_ds.repository, seed=3)
 
 
 class TestPairProfile:
@@ -40,8 +40,8 @@ class TestPairProfile:
 
 class TestDetectRules:
     @pytest.fixture(scope="class")
-    def cdd_rules(self, spark, small_ds, profile):
-        return detect_rules(spark, small_ds.repository, flavor="cdd", profile=profile)
+    def cdd_rules(self, small_ds, profile):
+        return detect_rules(small_ds.repository, flavor="cdd", profile=profile)
 
     def test_every_dependent_covered(self, cdd_rules):
         assert set(cdd_rules) == set(range(D))
@@ -85,8 +85,8 @@ class TestDetectRules:
     def test_has_level2_lattice_rule(self, cdd_rules):
         assert any(r.level == 2 for rs in cdd_rules.values() for r in rs)
 
-    def test_dd_flavor_is_looser_intervals_only(self, spark, small_ds, profile):
-        dd = detect_rules(spark, small_ds.repository, flavor="dd", profile=profile)
+    def test_dd_flavor_is_looser_intervals_only(self, small_ds, profile):
+        dd = detect_rules(small_ds.repository, flavor="dd", profile=profile)
         for rs in dd.values():
             for r in rs:
                 assert r.level == 1
@@ -95,25 +95,25 @@ class TestDetectRules:
                     assert c.interval[0] == 0.0   # DDs have no eps.min
                 assert r.dep_interval[0] == 0.0
 
-    def test_dd_dep_intervals_at_least_as_wide(self, spark, small_ds, profile, cdd_rules):
-        dd = detect_rules(spark, small_ds.repository, flavor="dd", profile=profile)
+    def test_dd_dep_intervals_at_least_as_wide(self, small_ds, profile, cdd_rules):
+        dd = detect_rules(small_ds.repository, flavor="dd", profile=profile)
         max_dd = max(r.dep_interval[1] for rs in dd.values() for r in rs)
         max_cdd = max(
             r.dep_interval[1] for rs in cdd_rules.values() for r in rs
         )
         assert max_dd >= max_cdd - 1e-9
 
-    def test_er_flavor_exact_equality(self, spark, small_ds, profile):
-        er = detect_rules(spark, small_ds.repository, flavor="er", profile=profile)
+    def test_er_flavor_exact_equality(self, small_ds, profile):
+        er = detect_rules(small_ds.repository, flavor="er", profile=profile)
         for rs in er.values():
             assert len(rs) == D - 1
             for r in rs:
                 for c in r.constraints:
                     assert c.interval == (0.0, 0.0)
 
-    def test_deterministic(self, spark, small_ds, profile):
-        a = detect_rules(spark, small_ds.repository, flavor="cdd", profile=profile)
-        b = detect_rules(spark, small_ds.repository, flavor="cdd", profile=profile)
+    def test_deterministic(self, small_ds, profile):
+        a = detect_rules(small_ds.repository, flavor="cdd", profile=profile)
+        b = detect_rules(small_ds.repository, flavor="cdd", profile=profile)
         assert a == b
 
 
@@ -149,14 +149,6 @@ class TestDriverProfileEqualsSpark:
 
     @pytest.mark.parametrize("flavor", ["cdd", "dd", "er"])
     def test_rule_tables_equal(self, small_ds, profile, spark_profile, flavor):
-        assert detect_rules(None, small_ds.repository, flavor=flavor,
+        assert detect_rules(small_ds.repository, flavor=flavor,
                             profile=profile) == detect_rules(
-            None, small_ds.repository, flavor=flavor, profile=spark_profile)
-
-    def test_no_spark_jobs(self, spark, small_ds, small_cfg):
-        from repro.ter.algorithm import prepare
-
-        before = job_mark(spark)
-        sample_pair_profile(spark, small_ds.repository, seed=1)
-        prepare(spark, small_ds, small_cfg, "ter")
-        assert job_mark(spark) == before
+            small_ds.repository, flavor=flavor, profile=spark_profile)

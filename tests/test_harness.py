@@ -61,3 +61,19 @@ class TestSaveRows:
     def test_print_empty(self, capsys):
         H.print_rows([])
         assert "(no rows)" in capsys.readouterr().out
+
+
+class TestRunTerIdsJob:
+    def test_exits_when_no_batch_is_measured(self):
+        """At scale 0.05 the citations stream never fills the default window
+        (w=1000), so the job has nothing to report."""
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "jobs" / "run_ter_ids.py"
+        spec = importlib.util.spec_from_file_location("run_ter_ids", path)
+        job = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(job)
+        with pytest.raises(SystemExit) as exc:
+            job.main(["--dataset", "citations", "--scale", "0.05"])
+        assert "w=1000" in str(exc.value.code) and "--scale" in str(exc.value.code)

@@ -19,7 +19,6 @@ from repro.core.similarity import jaccard_dist, tokens
 from repro.index.cdd_index import CDDIndex
 from repro.oracle import assert_equivalent
 from repro.streams.stream_gen import ATTR_COLS
-from tests.spark_reference import job_mark
 
 
 @pytest.fixture(scope="module")
@@ -241,19 +240,9 @@ class TestImputeBatch:
                 expect = None if pd.isna(getattr(row, c)) else getattr(row, c)
                 assert inst.attrs[k] == expect
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_no_spark_jobs(self, spark, batch, prepared_ter, indexed):
-        p = prepared_ter
-        before = job_mark(spark)
-        _, stats = impute_batch(
-            batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=indexed
-        )
-        assert stats.n_samples > 0
-        assert job_mark(spark) == before
-
 
 class TestConImputer:
-    def test_fills_from_window(self, spark, batch, prepared_ter, small_ds):
+    def test_fills_from_window(self, batch, prepared_ter, small_ds):
         p = prepared_ter
         window_values = small_ds.complete.head(60)
         tuples, stats = impute_batch_con(
@@ -266,7 +255,7 @@ class TestConImputer:
             # con fills every missing attribute (window has complete tuples)
             assert all(a is not None for a in t.instances[0].attrs)
 
-    def test_empty_window_leaves_missing(self, spark, batch, prepared_ter, small_ds):
+    def test_empty_window_leaves_missing(self, batch, prepared_ter, small_ds):
         p = prepared_ter
         tuples, _ = impute_batch_con(
             batch, small_ds.complete.iloc[0:0], p.pivots, keywords=p.keywords

@@ -23,18 +23,18 @@ class TestKwFlags:
 
 
 class TestEntityTruth:
-    def test_pairs_are_same_entity_cross_stream(self, spark, small_ds, small_cfg):
-        truth = truth_pairs(spark, small_ds, small_cfg, max_batches=2)
+    def test_pairs_are_same_entity_cross_stream(self, small_ds, small_cfg):
+        truth = truth_pairs(None, small_ds, small_cfg, max_batches=2)
         meta = small_ds.stream.set_index("rid")
         for p in truth:
             a, b = sorted(p)
             assert meta.loc[a, "entity_id"] == meta.loc[b, "entity_id"]
             assert meta.loc[a, "stream_id"] != meta.loc[b, "stream_id"]
 
-    def test_topic_condition_enforced(self, spark, small_ds, small_cfg):
+    def test_topic_condition_enforced(self, small_ds, small_cfg):
         kws = set(small_ds.keywords[: small_cfg.n_topic_keywords])
         comp = small_ds.complete.set_index("rid")
-        truth = truth_pairs(spark, small_ds, small_cfg, max_batches=2)
+        truth = truth_pairs(None, small_ds, small_cfg, max_batches=2)
         for p in truth:
             toks = set()
             for rid in p:
@@ -42,18 +42,18 @@ class TestEntityTruth:
                     toks |= set(str(comp.loc[rid, c]).split())
             assert toks & kws, p
 
-    def test_deterministic(self, spark, small_ds, small_cfg):
-        a = truth_pairs(spark, small_ds, small_cfg, max_batches=2)
-        b = truth_pairs(spark, small_ds, small_cfg, max_batches=2)
+    def test_deterministic(self, small_ds, small_cfg):
+        a = truth_pairs(None, small_ds, small_cfg, max_batches=2)
+        b = truth_pairs(None, small_ds, small_cfg, max_batches=2)
         assert a == b
 
 
 class TestEq2Truth:
-    def test_pairs_satisfy_eq2_on_complete(self, spark, eq2_ds):
+    def test_pairs_satisfy_eq2_on_complete(self, eq2_ds):
         from repro.core.similarity import sim_tuples
 
         cfg = TERConfig(w=60, batch_size=20, xi=0.2)
-        truth = truth_pairs(spark, eq2_ds, cfg, max_batches=2)
+        truth = truth_pairs(None, eq2_ds, cfg, max_batches=2)
         assert len(truth) > 0
         comp = eq2_ds.complete.set_index("rid")
         for p in truth:
