@@ -4,6 +4,7 @@
 query (a broadcast nested-loop join on an OR of block equalities that tests
 all |R|^2 pairs). ``core/cdd_detect.py::sample_pair_profile`` lists the same
 pairs from the blocks on the driver, and the tests require equal rows.
+``job_mark`` lets a test assert that a call launched no Spark job.
 """
 from __future__ import annotations
 
@@ -12,6 +13,12 @@ from pyspark.sql import Column, SparkSession
 from pyspark.sql import functions as F
 
 from repro.streams.stream_gen import ATTR_COLS, D
+
+
+def job_mark(spark: SparkSession) -> int:
+    """Highest Spark job id so far (-1 before the first job)."""
+    ids = spark.sparkContext.statusTracker().getJobIdsForGroup(None)
+    return max(ids) if ids else -1
 
 
 def tokens_col(col: Column) -> Column:

@@ -7,6 +7,7 @@ from repro.core.instances import build_imputed_tuple
 from repro.oracle import assert_equivalent
 from repro.streams.stream_gen import D
 from repro.ter.baselines import exact_er_spark, instances_frame
+from tests.spark_reference import job_mark
 
 KW = ["topic00"]
 PIV = [frozenset({"p"})] * D
@@ -150,3 +151,9 @@ class TestExactErSpark:
         a, b = _tup(1, 0, [(attrs, 1.0)]), _tup(2, 1, [(attrs, 1.0)])
         assert not a.instances[0].has_kw
         assert exact_er_spark([a], [b], gamma=0.0, alpha=0.0) == []
+
+    def test_no_spark_jobs(self, spark):
+        pop = _pop()
+        before = job_mark(spark)
+        assert exact_er_spark(pop[:6], pop, gamma=1.5, alpha=0.1)
+        assert job_mark(spark) == before

@@ -13,7 +13,7 @@ from repro.core.cdd_detect import (
     spark_hash_long,
 )
 from repro.streams.stream_gen import D
-from tests.spark_reference import spark_pair_profile
+from tests.spark_reference import job_mark, spark_pair_profile
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +152,11 @@ class TestDriverProfileEqualsSpark:
         assert detect_rules(small_ds.repository, flavor=flavor,
                             profile=profile) == detect_rules(
             small_ds.repository, flavor=flavor, profile=spark_profile)
+
+    def test_no_spark_jobs(self, spark, small_ds, small_cfg):
+        from repro.ter.algorithm import prepare
+
+        before = job_mark(spark)
+        sample_pair_profile(None, small_ds.repository, seed=1)
+        prepare(None, small_ds, small_cfg, "ter")
+        assert job_mark(spark) == before

@@ -19,6 +19,7 @@ from repro.core.similarity import jaccard_dist, tokens
 from repro.index.cdd_index import CDDIndex
 from repro.oracle import assert_equivalent
 from repro.streams.stream_gen import ATTR_COLS
+from tests.spark_reference import job_mark
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,16 @@ class TestImputeBatch:
             for k, c in enumerate(ATTR_COLS):
                 expect = None if pd.isna(getattr(row, c)) else getattr(row, c)
                 assert inst.attrs[k] == expect
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_no_spark_jobs(self, spark, batch, prepared_ter, indexed):
+        p = prepared_ter
+        before = job_mark(spark)
+        _, stats = impute_batch(
+            batch, p.dr, p.cddx, p.pivots, keywords=p.keywords, indexed=indexed
+        )
+        assert stats.n_samples > 0
+        assert job_mark(spark) == before
 
 
 class TestConImputer:
