@@ -4,7 +4,7 @@ Caching layers (all in-process, keyed by generation/offline parameters):
 - datasets (`_DATASETS`),
 - offline contexts: profile + pivots + shared DR-index (`_CONTEXTS`),
 - per-(context, flavor) rule indexes (`Context.preps`),
-- warmup window states per (context, warmup-flavor, cfg window params)
+- warmup window states per (context, rule flavor, cfg window params)
   (`_WARMUPS`) — sweep points that don't change the imputed window resume
   from the same snapshot (semantics-preserving, tested).
 
@@ -23,13 +23,13 @@ from repro.core.cdd_detect import sample_pair_profile
 from repro.streams.stream_gen import Dataset, generate
 from repro.ter.algorithm import (
     METHODS,
+    SPECS,
     Prepared,
     RunResult,
     prepare,
     run_stream,
     select_pivots_for,
     warmup,
-    warmup_flavor,
 )
 from repro.index.dr_index import build_dr_index
 from repro.ter.algorithm import DOM_PAIRS_CUTOFF
@@ -44,6 +44,8 @@ SWEEP_DATASET = "citations"
 BENCH_SCALE = 1.0
 #: measured micro-batches per run
 BENCH_BATCHES = 2
+#: methods compared on accuracy (P2, P9-P11): TER-iDS and the rule baselines
+ACC_METHODS = ["ter", "dd_er", "er_er", "con_er"]
 
 _DATASETS: dict = {}
 _CONTEXTS: dict = {}
@@ -84,8 +86,8 @@ class Context:
         """Rules are detected and indexed once per flavor; methods sharing a
         flavor get a copy that differs only in ``method``."""
         if method not in self.preps:
-            flavor = warmup_flavor(method)
-            same = [p for p in self.preps.values() if warmup_flavor(p.method) == flavor]
+            flavor = SPECS[method].flavor
+            same = [p for p in self.preps.values() if SPECS[p.method].flavor == flavor]
             self.preps[method] = (
                 dataclasses.replace(same[0], method=method) if same else prepare(
                     None, self.ds, cfg, method,
@@ -103,7 +105,7 @@ def get_context(name: str, cfg: TERConfig, scale: float = BENCH_SCALE) -> Contex
 
 
 def get_warm(ctx: Context, cfg: TERConfig, method: str, key: tuple):
-    wkey = key + (warmup_flavor(method), cfg.w, cfg.batch_size)
+    wkey = key + (SPECS[method].flavor, cfg.w, cfg.batch_size)
     if wkey not in _WARMUPS:
         _WARMUPS[wkey] = warmup(None, ctx.ds, cfg, ctx.prep(cfg, method))
     return _WARMUPS[wkey]
@@ -179,7 +181,7 @@ def table_p2(datasets: list[str] | None = None) -> list[dict]:
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
-        for method in ("ter", "dd_er", "er_er", "con_er"):
+        for method in ACC_METHODS:
             fs = method_fscore(name, cfg, method)
             rows.append(
                 {
@@ -217,20 +219,17 @@ def table_p3(datasets: list[str] | None = None) -> list[dict]:
 
 
 def table_p4(datasets: list[str] | None = None) -> list[dict]:
-    """P4 (Fig. 6): TER-iDS break-up cost (CDD select / impute / ER)."""
+    """P4 (Fig. 6): TER-iDS break-up cost (CDD select / impute / ER), in
+    seconds per arrival to 3 significant figures (a fixed number of decimals
+    would round the sub-microsecond impute layer to 0)."""
     cfg = TERConfig()
     rows = []
     for name in datasets or DATASETS:
         res = run_method(name, cfg, "ter")
         n = max(1, res.n_arrivals)
-        rows.append(
-            {
-                "table": "P4", "dataset": name,
-                "cdd_select": round(res.t_select / n, 5),
-                "impute": round(res.t_impute / n, 5),
-                "er": round(res.t_er / n, 5),
-            }
-        )
+        parts = {"cdd_select": res.t_select, "impute": res.t_impute, "er": res.t_er}
+        rows.append({"table": "P4", "dataset": name,
+                     **{k: float(f"{t / n:.3g}") for k, t in parts.items()}})
     return rows
 
 
@@ -269,9 +268,6 @@ def _sweep(
                         }
                     )
     return rows
-
-
-ACC_METHODS = ["ter", "dd_er", "er_er", "con_er"]
 
 
 def table_p5(**kw):

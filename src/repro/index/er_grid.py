@@ -16,6 +16,11 @@ min/max over its members. It then evaluates the bound kernels of
   survivors x members -> tuple-level pruning (Thm 4.1, Lemmas 4.1-4.2,
                           Thm 4.3 via Lemma 4.3)
 
+One ``fused`` flag gates the pivot-sharing stages, Lemma 4.2 and Lemma 4.3:
+the method table (``repro.ter.algorithm.SPECS``) sets it for ``ter`` and
+clears it for the I_j+G_ER baseline, which keeps only the grid-native
+prunes (DESIGN.md §2 item 4).
+
 A cell pruned at stage s attributes all its eligible member pairs to stage s
 (index-level pruning credited to its theorem, as in the paper's Figure 4).
 New-vs-new pairs (both sides arriving in the same batch) go through the same
@@ -88,14 +93,17 @@ def occupied_cells(window_aggs: dict) -> tuple[dict, np.ndarray, np.ndarray]:
 
 def _staged_prune(
     x: dict, i: np.ndarray, y: dict, j: np.ndarray, *,
-    d: int, gamma: float, alpha: float, use_pivot: bool, use_prob: bool,
+    d: int, gamma: float, alpha: float, fused: bool,
     weight: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PruneStats]:
     """Thm 4.1 -> Lemmas 4.1/4.2 -> Lemma 4.3 over the index pairs
-    ``(x[i], y[j])`` of two aggregate column maps.
+    ``(x[i], y[j])`` of two aggregate column maps; Lemmas 4.2 and 4.3 run
+    only when ``fused``.
 
     ``weight`` is the number of tuple pairs each index pair stands for (the
-    eligible members of a cell); by default each counts once. Returns the
+    eligible members of a cell); by default each counts once. A weighted
+    call is the cell level, whose aggregates carry no expected distances
+    ``e``, so Lemma 4.3 runs on unweighted (tuple) pairs only. Returns the
     survivor mask and the stage-attributed stats."""
     def summed(side, idx, name):
         return sum(side[f"{name}{k}"][idx] for k in range(D))
@@ -108,7 +116,7 @@ def _staged_prune(
         for k in range(D)
     )
     sim_ok = ts_ub > gamma
-    if use_pivot:
+    if fused:
         piv_ub = float(d) - sum(
             PR.ub_sim_pivot(x[f"lb{k}"][i], x[f"ub{k}"][i],
                             y[f"lb{k}"][j], y[f"ub{k}"][j])
@@ -118,7 +126,7 @@ def _staged_prune(
     st = PruneStats(total=int(w.sum()), pruned_topic=int(w[~surv].sum()),
                     pruned_sim=int(w[surv & ~sim_ok].sum()))
     surv &= sim_ok
-    if use_prob:
+    if fused and weight is None:
         prob_ub = PR.ub_prob_paley_zygmund(
             d, gamma,
             summed(x, i, "e"), summed(y, j, "e"),
@@ -142,21 +150,18 @@ def generate_candidates(
     d: int,
     gamma: float,
     alpha: float,
-    use_pivot: bool = True,
-    use_prob: bool = True,
+    fused: bool = True,
 ) -> tuple[pd.DataFrame, PruneStats]:
     """Grid-based candidate pairs (new x window) with staged pruning.
 
     ``new_aggs`` and ``window_aggs`` are aggregate column maps; the window's
     also carries each member's ``cell`` code. Returns (pairs frame with
-    columns rid_n/rid_m, stats). ``use_pivot`` / ``use_prob`` gate the
-    Lemma-4.2/4.3 stages (the I_j+G_ER baseline runs without the fused
-    pivot-sharing prunes, DESIGN.md §2.4).
+    columns rid_n/rid_m, stats). ``fused`` gates the Lemma-4.2/4.3 stages.
     """
     n, m = new_aggs, window_aggs
     if not len(n["rid"]) or not len(m["rid"]):
         return _no_pairs(), PruneStats()
-    bounds = dict(d=d, gamma=gamma, alpha=alpha, use_pivot=use_pivot)
+    bounds = dict(d=d, gamma=gamma, alpha=alpha, fused=fused)
 
     c, order, size = occupied_cells(m)
     start = np.cumsum(size) - size
@@ -167,8 +172,7 @@ def generate_candidates(
     ci = np.repeat(np.arange(n_new), n_cells)
     cj = np.tile(np.arange(n_cells), n_new)
     other = 1 - n["stream_id"][ci]
-    keep, stats = _staged_prune(n, ci, c, cj, weight=size[2 * cj + other],
-                                use_prob=False, **bounds)
+    keep, stats = _staged_prune(n, ci, c, cj, weight=size[2 * cj + other], **bounds)
 
     # Expand surviving (new, cell) pairs to the cell's other-stream members.
     g = 2 * cj[keep] + other[keep]
@@ -177,7 +181,7 @@ def generate_candidates(
     offset = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     tj = order[np.repeat(start[g], cnt) + offset]
 
-    surv, tup = _staged_prune(n, ti, m, tj, use_prob=use_prob, **bounds)
+    surv, tup = _staged_prune(n, ti, m, tj, **bounds)
     # The cell level already counted these pairs in ``total``.
     stats.add(replace(tup, total=0))
     out = pd.DataFrame({"rid_n": n["rid"][ti[surv]], "rid_m": m["rid"][tj[surv]]})
@@ -190,8 +194,7 @@ def newnew_candidates(
     d: int,
     gamma: float,
     alpha: float,
-    use_pivot: bool = True,
-    use_prob: bool = True,
+    fused: bool = True,
 ) -> tuple[pd.DataFrame, PruneStats]:
     """Same-batch (new x new) cross-stream pairs, with the same staged
     pruning and stage accounting as the new x window pairs."""
@@ -201,9 +204,7 @@ def newnew_candidates(
     idx_i, idx_j = idx_i[cross], idx_j[cross]
     if len(idx_i) == 0:
         return _no_pairs(), PruneStats()
-    surv, stats = _staged_prune(
-        a, idx_i, a, idx_j, d=d, gamma=gamma, alpha=alpha,
-        use_pivot=use_pivot, use_prob=use_prob,
-    )
+    surv, stats = _staged_prune(a, idx_i, a, idx_j, d=d, gamma=gamma, alpha=alpha,
+                                fused=fused)
     out = pd.DataFrame({"rid_n": a["rid"][idx_j[surv]], "rid_m": a["rid"][idx_i[surv]]})
     return out, stats

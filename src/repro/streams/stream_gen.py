@@ -117,9 +117,12 @@ class Dataset:
         return self.spec.truth
 
 
-def _zipf_weights(n: int, alpha: float) -> np.ndarray:
+def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
+    """The CDF that ``rng.choice(n, p=zipf_weights)`` builds on every call,
+    so that ``cdf.searchsorted(rng.random(size), side="right")`` is its draw."""
     w = 1.0 / np.arange(1, n + 1) ** alpha
-    return w / w.sum()
+    cdf = (w / w.sum()).cumsum()
+    return cdf / cdf[-1]
 
 
 def _make_entity_pool(spec: DatasetSpec, rng: np.random.Generator, n_entities: int,
@@ -129,9 +132,9 @@ def _make_entity_pool(spec: DatasetSpec, rng: np.random.Generator, n_entities: i
     the *entity*, so both sides of a match carry it)."""
     pool: list[list[str]] = []
     vocabs = [
-        [f"a{k}t{i}" for i in range(spec.vocab_per_attr[k])] for k in range(D)
+        np.array([f"a{k}t{i}" for i in range(spec.vocab_per_attr[k])]) for k in range(D)
     ]
-    weights = [_zipf_weights(len(v), spec.zipf_alpha) for v in vocabs]
+    cdfs = [_zipf_cdf(len(v), spec.zipf_alpha) for v in vocabs]
     topic_mask = rng.random(n_entities) < spec.topic_frac
     # Per-entity verbosity: real sources mix terse and verbose records, and
     # record length is consistent within a record. Both sides of a duplicate
@@ -145,7 +148,7 @@ def _make_entity_pool(spec: DatasetSpec, rng: np.random.Generator, n_entities: i
             lo, hi = spec.tokens_per_attr[k]
             n_tok = max(1, int(round(rng.integers(lo, hi + 1) * verbosity[e])))
             toks = list(dict.fromkeys(
-                rng.choice(vocabs[k], size=n_tok, p=weights[k])
+                vocabs[k][cdfs[k].searchsorted(rng.random(n_tok), side="right")]
             ))
             attrs.append(toks)
         if topic_mask[e]:

@@ -8,26 +8,11 @@ micro-batches (Section 5.3): expire, impute newly arrived incomplete tuples,
 generate and prune candidate pairs, refine survivors exactly, maintain the
 entity set ES.
 
-Methods (paper §6.1):
-- ``ter``     TER-iDS: indexed imputation + ER-grid with all four prunings,
-              refinement with Theorem-4.4 early stopping (the fused pipeline).
-- ``ij_ger``  I_j+G_ER: same indexes, but imputation and ER run as separate
-              passes and only the grid-native prunes (topic keyword +
-              token-size similarity UB) are applied — no shared pivot work,
-              no probability/instance-level pruning, full exact refinement.
-- ``cdd_er``  CDD rules, no indexes: full-scan imputation + all-pairs exact ER.
-- ``dd_er``   DD rules (looser), no indexes.
-- ``er_er``   editing rules, no indexes.
-- ``con_er``  constraint-based window imputation [43], all-pairs exact ER.
+The six methods of paper §6.1 are the rows of :data:`SPECS`.
 
-All ER runs on the driver with one Eq. (2) kernel: ``ter``/``ij_ger`` refine
-the grid's surviving pairs with it, and the four unindexed baselines evaluate
+All ER runs on the driver with one Eq. (2) kernel: the indexed methods refine
+the grid's surviving pairs with it, and the unindexed baselines evaluate
 every cross-stream pair with it (``baselines.exact_er_spark``).
-
-Warmup always retrieves imputation samples through the DR-index regardless of
-method — the postings probe is *exactly* equivalent to a scan of all of R
-(asserted by tests), and warmup is never measured, so this only bounds setup
-cost.
 """
 from __future__ import annotations
 
@@ -61,17 +46,37 @@ from repro.streams.window import WindowBatch, sliding_batches
 # instances_frame is not called here; the streambench probe patches this name.
 from repro.ter.baselines import exact_er_spark, instances_frame  # noqa: F401
 
-METHODS = ["ter", "ij_ger", "cdd_er", "dd_er", "er_er", "con_er"]
-_FLAVOR = {"ter": "cdd", "ij_ger": "cdd", "cdd_er": "cdd", "dd_er": "dd", "er_er": "er"}
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """The three choices that define a paper method (§6.1)."""
+
+    flavor: str     # imputation rules: cdd, dd, er; con = window constraints
+    indexed: bool   # DR-index retrieval + ER-grid, else full scan + all pairs
+    fused: bool     # Lemma-4.2/4.3 grid stages + Theorem-4.4 early stop
+
+
+#: One row per paper method, in P-table order. Methods that share a
+#: ``flavor`` share rule indexes and warmup state (``bench.harness``).
+SPECS = {
+    # TER-iDS: the fused pipeline, all four prunings and the early stop.
+    "ter": MethodSpec("cdd", indexed=True, fused=True),
+    # I_j+G_ER: same indexes, only the grid-native prunes, full refinement.
+    "ij_ger": MethodSpec("cdd", indexed=True, fused=False),
+    # CDD rules, no indexes: full-scan imputation + all-pairs exact ER.
+    "cdd_er": MethodSpec("cdd", indexed=False, fused=False),
+    # DD rules (looser), no indexes.
+    "dd_er": MethodSpec("dd", indexed=False, fused=False),
+    # Editing rules, no indexes.
+    "er_er": MethodSpec("er", indexed=False, fused=False),
+    # Constraint-based window imputation [43], all-pairs exact ER.
+    "con_er": MethodSpec("con", indexed=False, fused=False),
+}
+METHODS = list(SPECS)
 
 #: dom_pairs distance cutoff covering every rule flavor's dependent intervals,
 #: so one DR-index serves all methods (TAU_DD = 0.70 is the widest).
 DOM_PAIRS_CUTOFF = 0.75
-
-
-def warmup_flavor(method: str) -> str:
-    """Methods sharing a rule flavor can share warmup window state."""
-    return _FLAVOR.get(method, "con")
 
 
 @dataclass
@@ -162,11 +167,12 @@ def prepare(
     if pivots is None:
         pivots = select_pivots_for(ds, cfg)
     keywords = ds.keywords[: cfg.n_topic_keywords]
-    if method == "con_er":
+    flavor = SPECS[method].flavor
+    if flavor == "con":
         return Prepared(method, pivots, None, None, keywords)
     if profile is None:
         profile = sample_pair_profile(None, ds.repository, seed=cfg.seed)
-    rules = detect_rules(ds.repository, flavor=_FLAVOR[method], profile=profile)
+    rules = detect_rules(ds.repository, flavor=flavor, profile=profile)
     cddx = build_cdd_index(rules)
     if dr is None:
         dr = build_dr_index(
@@ -180,10 +186,10 @@ def prepare(
 
 
 def _impute(
-    method: str, batch: pd.DataFrame, prep: Prepared, cfg: TERConfig,
-    state: TERState, *, force_indexed: bool = False,
+    batch: pd.DataFrame, prep: Prepared, cfg: TERConfig, state: TERState,
+    *, indexed: bool,
 ) -> tuple[list[ImputedTuple], ImputeStats]:
-    if method == "con_er":
+    if SPECS[prep.method].flavor == "con":
         return impute_batch_con(
             batch, pd.DataFrame(state.values).dropna(subset=ATTR_COLS),
             prep.pivots, keywords=prep.keywords,
@@ -191,7 +197,7 @@ def _impute(
     return impute_batch(
         batch, prep.dr, prep.cddx, prep.pivots,
         keywords=prep.keywords,
-        indexed=force_indexed or method in ("ter", "ij_ger"),
+        indexed=indexed,
         max_instances=cfg.max_instances,
     )
 
@@ -257,8 +263,9 @@ def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTupl
 def warmup(spark, ds: Dataset, cfg: TERConfig, prep: Prepared) -> TERState:
     """Process the window-fill batch (step 0) into a reusable TERState.
 
-    Unmeasured; imputation always goes through the DR-index (equivalent
-    results, bounded setup cost).
+    Unmeasured; imputation always retrieves samples through the DR-index,
+    whatever the method: the postings probe is exactly equivalent to a scan
+    of all of R (asserted by tests), so this only bounds setup cost.
 
     ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     state = TERState()
@@ -273,8 +280,7 @@ def _fill(cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
     """The state after the window-fill batch: its arrivals, less the oldest
     tuples of a stream that filled before the other (``wb.expired_rids``)."""
     state = TERState()
-    new_tuples, _ = _impute(prep.method, wb.arrived, prep, cfg, state,
-                            force_indexed=True)
+    new_tuples, _ = _impute(wb.arrived, prep, cfg, state, indexed=True)
     _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
             cfg.grid_cells_per_dim)
     _expire(state, wb.expired_rids)
@@ -296,8 +302,7 @@ def run_stream(
     it is cloned, never mutated, so one snapshot serves a whole sweep.
 
     ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
-    method = prep.method
-    res = RunResult(method=method)
+    res = RunResult(method=prep.method)
     state = warm.clone() if warm is not None else None
 
     for wb in sliding_batches(
@@ -315,10 +320,10 @@ def _run_measured_batch(
     cfg: TERConfig, prep: Prepared, wb: WindowBatch, state: TERState,
     res: RunResult,
 ) -> None:
-    method = prep.method
+    spec = SPECS[prep.method]
     _expire(state, wb.expired_rids)
 
-    new_tuples, istats = _impute(method, wb.arrived, prep, cfg, state)
+    new_tuples, istats = _impute(wb.arrived, prep, cfg, state, indexed=spec.indexed)
     res.t_select += istats.t_select
     res.t_impute += istats.t_impute
     res.n_arrivals += wb.n_arrivals
@@ -326,22 +331,15 @@ def _run_measured_batch(
     new_aggs = aggregates_frame(new_tuples)
 
     t0 = time.perf_counter()
-    if method in ("ter", "ij_ger"):
-        fused = method == "ter"
-        cand, st1 = generate_candidates(
-            new_aggs, state.aggs,
-            d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
-            use_pivot=fused, use_prob=fused,
-        )
-        cand2, st2 = newnew_candidates(
-            new_aggs, d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha,
-            use_pivot=fused, use_prob=fused,
-        )
+    if spec.indexed:
+        bounds = dict(d=cfg.d, gamma=cfg.gamma, alpha=cfg.alpha, fused=spec.fused)
+        cand, st1 = generate_candidates(new_aggs, state.aggs, **bounds)
+        cand2, st2 = newnew_candidates(new_aggs, **bounds)
         res.prune.add(st1)
         res.prune.add(st2)
         inst_of = {**state.tuples, **new_map}
         acc, n_inst, n_ref = _refine(
-            [cand, cand2], inst_of, gamma=cfg.gamma, alpha=cfg.alpha, early=fused
+            [cand, cand2], inst_of, gamma=cfg.gamma, alpha=cfg.alpha, early=spec.fused
         )
         res.prune.pruned_instance += n_inst
         res.prune.refined += n_ref

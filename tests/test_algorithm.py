@@ -230,11 +230,35 @@ class TestWarmupReuse:
         assert set(r1.pairs) == set(r2.pairs)
 
     def test_warmup_flavor_sharing(self):
-        from repro.ter.algorithm import warmup_flavor
+        from repro.ter.algorithm import SPECS
 
-        assert warmup_flavor("ter") == warmup_flavor("cdd_er") == "cdd"
-        assert warmup_flavor("dd_er") == "dd"
-        assert warmup_flavor("con_er") == "con"
+        assert SPECS["ter"].flavor == SPECS["cdd_er"].flavor == "cdd"
+        assert SPECS["dd_er"].flavor == "dd"
+        assert SPECS["con_er"].flavor == "con"
+
+
+class TestMethodTable:
+    def test_rows_in_p_table_order(self):
+        from repro.ter.algorithm import SPECS
+
+        assert METHODS == ["ter", "ij_ger", "cdd_er", "dd_er", "er_er", "con_er"]
+        assert list(SPECS) == METHODS
+
+    def test_fields_are_data(self):
+        from repro.ter.algorithm import SPECS
+
+        for spec in SPECS.values():
+            assert isinstance(spec.flavor, str)
+            assert isinstance(spec.indexed, bool) and isinstance(spec.fused, bool)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.fused = not spec.fused
+
+    def test_ter_and_ij_ger_differ_only_in_fused(self):
+        from repro.ter.algorithm import SPECS
+
+        assert SPECS["ter"] == dataclasses.replace(SPECS["ij_ger"], fused=True)
+        assert [m for m, s in SPECS.items() if s.indexed] == ["ter", "ij_ger"]
+        assert [m for m, s in SPECS.items() if s.fused] == ["ter"]
 
 
 class TestPrepare:

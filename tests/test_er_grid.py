@@ -8,8 +8,10 @@ positives, never false negatives).
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import TERConfig
+from repro.config import PARAM_GRID, TERConfig
 from repro.core.instances import aggregates_frame, build_imputed_tuple
 from repro.core.probability import pr_ter_ids
 from repro.index.er_grid import (
@@ -176,8 +178,7 @@ def varied():
     return tuples
 
 
-def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
-                         use_pivot, use_prob):
+def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim, fused):
     """Row-wise reference for ``generate_candidates``: walk (new, cell)
     pairs, then the surviving cells' (new, member) pairs, with scalar calls
     to the ``core.pruning`` kernels. Returns (pairs, stats, sim prunes per
@@ -192,7 +193,7 @@ def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
                  for k in range(D))
         piv = d - sum(float(PR.ub_sim_pivot(lb_a[k], ub_a[k], lb_b[k], ub_b[k]))
                       for k in range(D))
-        return ts > gamma and (piv > gamma or not use_pivot)
+        return ts > gamma and (piv > gamma or not fused)
 
     for a in new:
         for c in build_cells(waggs).itertuples(index=False):
@@ -216,7 +217,7 @@ def reference_candidates(new, win, *, d, gamma, alpha, cells_per_dim,
                 elif not sim_ok(a.tmin, a.tmax, a.lb, a.ub, b.tmin, b.tmax, b.lb, b.ub):
                     stats.pruned_sim += 1
                     sim_at["tuple"] += 1
-                elif use_prob and PR.ub_prob_paley_zygmund(
+                elif fused and PR.ub_prob_paley_zygmund(
                     d, gamma, sum(a.e), sum(b.e), sum(a.lb), sum(a.ub),
                     sum(b.lb), sum(b.ub),
                 ) <= alpha:
@@ -339,7 +340,7 @@ class TestCandidateGeneration:
         _, st_base = generate_candidates(
             aggregates_frame(new), _window(win),
             d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha,
-            use_pivot=False, use_prob=False,
+            fused=False,
         )
         assert st_base.pruned_prob == 0
         assert st_base.survivors >= st_full.survivors
@@ -364,7 +365,7 @@ class TestStageAttribution:
     def test_matches_rowwise_reference(self, varied, fused):
         new, win = varied[:24], varied[24:]
         kw = dict(d=D, gamma=self.CFG.gamma, alpha=self.CFG.alpha, cells_per_dim=4,
-                  use_pivot=fused, use_prob=fused)
+                  fused=fused)
         want, want_st, sim_at = reference_candidates(new, win, **kw)
         assert sim_at["cell"] > 0 and sim_at["tuple"] > 0
         kw.pop("cells_per_dim")
@@ -381,6 +382,65 @@ class TestStageAttribution:
         )
         surv = {frozenset(p) for p in zip(pairs["rid_n"], pairs["rid_m"])}
         assert brute_force_accepts(new, win, self.CFG.gamma, self.CFG.alpha) <= surv
+
+
+PROP_PIVOTS = [frozenset({"p0", "p1", "p2"})] * D
+PROP_TOKENS = ["p0", "p1", "p2", "topic00"] + [f"v{i}" for i in range(8)]
+
+
+@st.composite
+def multi_instance_tuples(draw):
+    """2-14 tuples on random streams, each with 1-3 weighted instances whose
+    attribute values are random token sets over pivot, keyword and plain
+    tokens. A tuple may copy another's first instance with one attribute
+    redrawn, so some pairs pass Eq. (2)."""
+    value = st.lists(st.sampled_from(PROP_TOKENS), min_size=1, max_size=6,
+                     unique=True).map(" ".join)
+    fresh = st.tuples(*[value] * D)
+    tuples = []
+    for rid in range(draw(st.integers(2, 14))):
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        cands = []
+        for w in weights:
+            attrs = draw(fresh)
+            if tuples and draw(st.booleans()):
+                base = list(draw(st.sampled_from(tuples)).instances[0].attrs)
+                base[draw(st.integers(0, D - 1))] = attrs[0]
+                attrs = tuple(base)
+            cands.append((attrs, w / sum(weights)))
+        tuples.append(build_imputed_tuple(rid, draw(st.integers(0, 1)), cands,
+                                          topics=KW, pivot_tokens=PROP_PIVOTS))
+    return tuples
+
+
+class TestPruningSafetyProperty:
+    """Over random multi-instance tuples and the Table-5 regimes of rho and
+    alpha, neither candidate generator drops a pair that exact Eq. (2)
+    accepts, with or without the fused stages, and the stage counts
+    partition the cross-stream pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tuples=multi_instance_tuples(), split=st.integers(1, 13),
+           rho=st.sampled_from(PARAM_GRID["rho"]),
+           alpha=st.sampled_from(PARAM_GRID["alpha"]),
+           fused=st.booleans(), cells_per_dim=st.integers(2, 5))
+    def test_no_false_dismissal(self, tuples, split, rho, alpha, fused, cells_per_dim):
+        gamma = TERConfig(rho=rho).gamma
+        new, win = tuples[:split], tuples[split:]
+        bounds = dict(d=D, gamma=gamma, alpha=alpha, fused=fused)
+        for pairs, st_, a, b in (
+            (*generate_candidates(aggregates_frame(new), _window(win, cells_per_dim),
+                                  **bounds), new, win),
+            (*newnew_candidates(aggregates_frame(new), **bounds), new, new),
+        ):
+            surv = {frozenset(p) for p in zip(pairs["rid_n"], pairs["rid_m"])}
+            assert brute_force_accepts(a, b, gamma, alpha) <= surv
+            assert st_.total == (st_.pruned_topic + st_.pruned_sim
+                                 + st_.pruned_prob + len(pairs))
+            assert st_.total == len({frozenset((x.rid, y.rid)) for x in a for y in b
+                                     if x.stream_id != y.stream_id})
+            if not fused:
+                assert st_.pruned_prob == 0
 
 
 class TestNewNewCandidates:

@@ -63,17 +63,54 @@ class TestSaveRows:
         assert "(no rows)" in capsys.readouterr().out
 
 
+class TestTableP4:
+    def test_small_impute_time_is_not_rounded_away(self, monkeypatch):
+        """A layer below 5e-6 s per arrival keeps a nonzero P4 cell."""
+        res = H.RunResult(method="ter", t_select=0.04, t_impute=0.0004,
+                          t_er=0.5, n_arrivals=400)
+        monkeypatch.setattr(H, "run_method", lambda *a, **k: res)
+        (row,) = H.table_p4(["citations"])
+        assert row["impute"] == 1e-06
+        assert row["cdd_select"] == 1e-04 and row["er"] == 0.00125
+
+
+@pytest.fixture
+def job():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "jobs" / "run_ter_ids.py"
+    spec = importlib.util.spec_from_file_location("run_ter_ids", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
+
+
 class TestRunTerIdsJob:
-    def test_exits_when_no_batch_is_measured(self):
+    def test_exits_when_no_batch_is_measured(self, job):
         """At scale 0.05 the citations stream never fills the default window
         (w=1000), so the job has nothing to report."""
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "jobs" / "run_ter_ids.py"
-        spec = importlib.util.spec_from_file_location("run_ter_ids", path)
-        job = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(job)
         with pytest.raises(SystemExit) as exc:
             job.main(["--dataset", "citations", "--scale", "0.05"])
         assert "w=1000" in str(exc.value.code) and "--scale" in str(exc.value.code)
+
+    def test_rejects_unknown_method(self, job, capsys):
+        with pytest.raises(SystemExit) as exc:
+            job.main(["--method", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_reports_partial_tail_batch(self, job, capsys):
+        """At scale 0.5 the citations stream runs out 190 arrivals into the
+        first measured step of 2 x 200."""
+        job.main(["--dataset", "citations", "--scale", "0.5", "--batches", "1"])
+        out = capsys.readouterr().out
+        assert "arrivals=190" in out
+        assert "partial: 190 of 400 arrivals" in out
+
+    def test_full_batches_are_not_flagged(self, job, capsys, monkeypatch):
+        res = H.RunResult(method="ter", n_arrivals=800)
+        monkeypatch.setattr(job, "run_method", lambda *a, **k: res)
+        job.main(["--batches", "2"])
+        out = capsys.readouterr().out
+        assert "arrivals=800" in out and "partial" not in out
