@@ -73,12 +73,12 @@ def build_imputed_tuple(
 
     ``attr_values``: list of (d-tuple of value strings, probability); callers
     build it from the per-missing-attribute candidate cross product (or a
-    single entry with p=1 for complete tuples).
+    single entry with p=1 for complete tuples). ``topics`` is the query
+    keyword set K: each instance's ``has_kw`` and the tuple's ``kw_mask``
+    are computed against it.
     """
-    insts = [Instance(attrs, p, keywords=frozenset(topics)) for attrs, p in attr_values]
-    # Instance.has_kw is against the full topic list; query-time K is applied
-    # via kw_mask & query mask. Recompute has_kw per query in the refinement
-    # kernel via instance kw masks:
+    kws = frozenset(topics)
+    insts = [Instance(attrs, p, keywords=kws) for attrs, p in attr_values]
     tmin = np.full(D, np.inf)
     tmax = np.zeros(D)
     lb = np.full(D, np.inf)

@@ -7,8 +7,10 @@ string. ``sim(r, r')`` is the *sum* of per-attribute Jaccard similarities
 inequality.
 
 The kernels work on Python token sets, on the driver: rule detection's pair
-profile, pivot selection, the DR-index build, imputation and refinement all
-call them. ``tokens`` splits on any whitespace (``str.split()``).
+profile, pivot selection, the DR-index build and imputation call them.
+``tokens`` splits on any whitespace (``str.split()``). The batched Eq. (2)
+kernel (``core/probability.py``) reads the same token sets as int ids from
+one process-wide intern table (``token_id``).
 """
 from __future__ import annotations
 
@@ -19,7 +21,22 @@ def tokens(value: str | None) -> frozenset[str]:
     """Token set of an attribute value; empty set for missing/empty values."""
     if value is None:
         return frozenset()
-    return frozenset(t for t in value.split() if t)
+    return frozenset(value.split())
+
+
+class _TokenIds(dict):
+    """token -> int id, assigned in first-seen order and never reassigned, so
+    a token has one id for the life of the process. No result depends on
+    which id a token gets, only on equal tokens getting equal ids, so what
+    was interned before does not change any result."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = i = len(self)
+        return i
+
+
+#: ``token_id(t)``: the int id of token ``t`` in the one intern table.
+token_id = _TokenIds().__getitem__
 
 
 def jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:

@@ -32,7 +32,8 @@ from repro.core.imputation import (
 )
 from repro.core.instances import ImputedTuple, aggregates_frame
 from repro.core.pivot import select_all_pivots
-from repro.core.probability import pr_ter_ids_detail
+# pr_ter_ids_detail is not called here; the streambench probe patches this name.
+from repro.core.probability import pr_ter_ids_batch, pr_ter_ids_detail  # noqa: F401
 from repro.index.cdd_index import build_cdd_index
 from repro.index.dr_index import build_dr_index
 from repro.index.er_grid import (
@@ -210,30 +211,23 @@ def _refine(
     alpha: float,
     early: bool,
 ) -> tuple[dict, int, int]:
-    """Exact Eq. (2) on surviving candidate pairs (driver-side kernel), the
-    ``rid_n``/``rid_m`` rows of each grid result in ``cands`` in turn.
+    """Exact Eq. (2) on surviving candidate pairs: the ``rid_n``/``rid_m``
+    rows of each grid result in ``cands`` in turn, in one kernel call.
 
     Returns (accepted {pair: pr}, n_instance_pruned, n_refined)."""
-    accepted: dict = {}
-    n_inst = 0
-    n_ref = 0
-    for cand in cands:
-        for rid_n, rid_m in zip(cand["rid_n"].tolist(), cand["rid_m"].tolist()):
-            a = inst_of.get(rid_n)
-            b = inst_of.get(rid_m)
-            if a is None or b is None:
-                continue
-            pr, stopped = pr_ter_ids_detail(
-                a.instances, b.instances, gamma, alpha if early else None
-            )
-            if pr > alpha:
-                accepted[frozenset((a.rid, b.rid))] = pr
-                n_ref += 1
-            elif stopped:
-                n_inst += 1
-            else:
-                n_ref += 1
-    return accepted, n_inst, n_ref
+    rid_n, rid_m = (np.concatenate([c[col].to_numpy(dtype=np.int64) for c in cands])
+                    for col in ("rid_n", "rid_m"))
+    rows = pd.Index(np.fromiter(inst_of, dtype=np.int64, count=len(inst_of)))
+    row_n, row_m = rows.get_indexer(rid_n), rows.get_indexer(rid_m)
+    known = (row_n >= 0) & (row_m >= 0)
+    pr, stopped = pr_ter_ids_batch(
+        [t.instances for t in inst_of.values()], row_n[known], row_m[known],
+        gamma, alpha if early else None)
+    ok = pr > alpha
+    accepted = {frozenset((a, b)): v for a, b, v in zip(
+        rid_n[known][ok].tolist(), rid_m[known][ok].tolist(), pr[ok].tolist())}
+    n_inst = int(np.count_nonzero(stopped))
+    return accepted, n_inst, len(pr) - n_inst
 
 
 def _append(cols: dict, new: dict) -> dict:

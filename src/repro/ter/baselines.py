@@ -2,18 +2,20 @@
 
 The CDD+ER / DD+ER / er+ER / con+ER baselines perform the ER step as the
 straightforward method (paper §2.3): every cross-stream (new, window) pair is
-evaluated exactly — all instance pairs, no index, no pruning. This is a
-driver loop that calls, for every such pair, the Eq. (2) kernel that TER-iDS
-refines with (``core/probability.py::pr_ter_ids``), without the Theorem-4.4
-early stop. So Eq. (2) has one implementation, and the baselines and TER-iDS
-run on the same substrate and differ only in how many pairs they evaluate.
+evaluated exactly — all instance pairs, no index, no pruning. All such pairs
+go to the batched Eq. (2) kernel that TER-iDS refines with
+(``core/probability.py::pr_ter_ids_batch``) in one call, without the
+Theorem-4.4 early stop. So Eq. (2) has one implementation, and the baselines
+and TER-iDS run on the same substrate and differ only in how many pairs they
+evaluate.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from repro.core.instances import ImputedTuple
-from repro.core.probability import pr_ter_ids
+from repro.core.probability import pr_ter_ids_batch
 from repro.streams.stream_gen import D
 
 _INST_COLS = ["rid", "stream_id", "p", "has_kw"] + [f"v{k}" for k in range(D)]
@@ -48,13 +50,12 @@ def exact_er_spark(
     The name stays because the streambench probe times the baselines' ER
     under it.
     """
-    new_rids = {t.rid for t in new}
-    out = []
-    for n in new:
-        for m in pool:
-            if m.stream_id == n.stream_id or (m.rid in new_rids and m.rid >= n.rid):
-                continue
-            pr = pr_ter_ids(n.instances, m.instances, gamma)
-            if pr > alpha:
-                out.append((n.rid, m.rid, pr))
-    return out
+    rid_n, rid_m = (np.array([t.rid for t in ts], dtype=np.int64) for ts in (new, pool))
+    sid_n, sid_m = (np.array([t.stream_id for t in ts], dtype=np.int64) for ts in (new, pool))
+    # every (new, pool) pair, new outer, less same-stream pairs and the
+    # second visit of a new x new pair
+    skip = (sid_n[:, None] == sid_m) | (np.isin(rid_m, rid_n) & (rid_m >= rid_n[:, None]))
+    i, j = np.nonzero(~skip)
+    pr, _ = pr_ter_ids_batch([t.instances for t in (*new, *pool)], i, len(new) + j, gamma)
+    ok = pr > alpha
+    return list(zip(rid_n[i[ok]].tolist(), rid_m[j[ok]].tolist(), pr[ok].tolist()))

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import pruning as PR
-from repro.core.probability import Instance, pr_ter_ids, pr_ter_ids_detail
+from repro.core.probability import Instance, pr_ter_ids, pr_ter_ids_batch, pr_ter_ids_detail
+from repro.core.similarity import jaccard
+from repro.streams.stream_gen import D
 
 
 class TestTopicKeywordPrune:
@@ -183,3 +185,121 @@ class TestPrTerIds:
             full = pr_ter_ids(a, b, gamma=1.0)
             fast, _ = pr_ter_ids_detail(a, b, gamma=1.0, alpha=0.5)
             assert (full > 0.5) == (fast > 0.5)
+
+
+def reference_pr(inst_i, inst_j, gamma, alpha):
+    """Eq. (2) with Theorem 4.4 as a plain double loop over instance pairs:
+    ``(pr, stopped)`` with ``stopped`` marking a rejection before the last
+    instance pair."""
+    acc = checked = 0.0
+    n = len(inst_i) * len(inst_j)
+    done = 0
+    for a in inst_i:
+        for b in inst_j:
+            mass = a.p * b.p
+            sim = sum(jaccard(x, y) for x, y in zip(a.token_sets, b.token_sets))
+            if mass > 0 and (a.has_kw or b.has_kw) and sim > gamma:
+                acc += mass
+            checked += mass
+            done += 1
+            if alpha is not None:
+                if acc > alpha:
+                    return acc, False
+                if acc + (1.0 - checked) <= alpha:
+                    return acc, done < n
+    return acc, False
+
+
+PROP_KW = frozenset({"topic"})
+
+
+@st.composite
+def instance_sets(draw):
+    """Up to 6 sets of 1-8 instances. An instance copies each attribute of a
+    shared base value tuple or draws its own, so Eq. (1) ranges up to d;
+    values include empty token sets, instances are all-None one time in
+    six, and some have p = 0."""
+    value = st.sampled_from([None, "", "topic", "a", "a b c", "topic a b c d e", "a b c d e f", "b c d"])
+    base = draw(st.tuples(*[value] * D))
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+        total = sum(weights) or 1
+        insts = []
+        for w in weights:
+            if draw(st.integers(0, 5)) == 0:
+                attrs = (None,) * D
+            else:
+                attrs = tuple(v if draw(st.booleans()) else draw(value) for v in base)
+            insts.append(Instance(attrs, w / total, keywords=PROP_KW))
+        sets.append(insts)
+    return sets
+
+
+class TestBatchedKernelProperty:
+    """The batched Eq. (2) kernel against the scalar double loop above:
+    bit-equal ``pr`` and equal ``stopped`` for every pair of one call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sets=instance_sets(),
+           pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8),
+           gamma=st.sampled_from([1.5, 2.5, 3.5]),
+           alpha=st.sampled_from([None, 0.1, 0.3, 0.5, 0.7, 0.9]))
+    def test_matches_double_loop(self, sets, pairs, gamma, alpha):
+        pairs = [(i % len(sets), j % len(sets)) for i, j in pairs]
+        left = [i for i, _ in pairs]
+        right = [j for _, j in pairs]
+        pr, stopped = pr_ter_ids_batch(sets, left, right, gamma, alpha)
+        assert len(pr) == len(stopped) == len(pairs)
+        for x, (i, j) in enumerate(pairs):
+            want_pr, want_stopped = reference_pr(sets[i], sets[j], gamma, alpha)
+            assert pr[x] == want_pr
+            assert stopped[x] == want_stopped
+
+    @pytest.mark.parametrize("a,b,gamma,want", [
+        # Jaccard 0, 0, 1/6, 1/2, 5/6: 1.5 in attribute order, just above
+        # 1.5 in reverse order
+        (("x", "u", "y", "p q", "t1 t2 t3 t4 t5"),
+         ("v", "w", "y z1 z2 z3 z4 z5", "p", "t1 t2 t3 t4 t5 t6"), 1.5, 0.0),
+        # Jaccard 1/7, 5/6, 6/7, 1/3, 1/3: just above 2.5 in attribute
+        # order, 2.5 in reverse order and with the first three reversed
+        (("x", "t1 t2 t3 t4 t5", "s1 s2 s3 s4 s5 s6", "p", "m"),
+         ("x z1 z2 z3 z4 z5 z6", "t1 t2 t3 t4 t5 t6", "s1 s2 s3 s4 s5 s6 s7",
+          "p q r", "m n o"), 2.5, 1.0),
+    ])
+    def test_sums_attributes_in_order(self, a, b, gamma, want):
+        """Eq. (1) adds the Jaccard terms in attribute order, so a sum that
+        is exactly gamma in real arithmetic falls on the scalar loop's side
+        of gamma."""
+        a, b = ([Instance(v, 1.0, keywords={"x"})] for v in (a, b))
+        assert reference_pr(a, b, gamma, None) == (want, False)
+        pr, _ = pr_ter_ids_batch([a, b], [0], [1], gamma)
+        assert pr[0] == want
+
+    def test_sums_masses_in_pair_order(self):
+        """The matched masses are added in double-loop order: (0.1 + 0.2) +
+        0.7 and (0.7 + 0.2) + 0.1 differ in the last bit."""
+        attrs = ("topic a",) * D
+        a = [Instance(attrs, 1.0, keywords=PROP_KW)]
+        b = [Instance(attrs, p, keywords=PROP_KW) for p in (0.1, 0.2, 0.7)]
+        want = (0.1 + 0.2) + 0.7
+        assert want != (0.7 + 0.2) + 0.1
+        assert reference_pr(a, b, 2.5, None) == (want, False)
+        pr, _ = pr_ter_ids_batch([a, b], [0], [1], 2.5)
+        assert pr[0] == want
+
+    def test_rejects_when_bound_equals_alpha(self):
+        """Theorem 4.4 rejects once the bound is <= alpha, equality included:
+        after the unmatched first instance pair the bound is 0 + (1 - 0.5)."""
+        a = [Instance(("topic a",) * D, 1.0, keywords=PROP_KW)]
+        b = [Instance(("zz",) * D, 0.5, keywords=PROP_KW),
+             Instance(("topic a",) * D, 0.5, keywords=PROP_KW)]
+        assert reference_pr(a, b, 2.5, 0.5) == (0.0, True)
+        pr, stopped = pr_ter_ids_batch([a, b], [0], [1], 2.5, 0.5)
+        assert (pr[0], stopped[0]) == (0.0, True)
+
+    def test_empty_pair_list(self):
+        sets = [[Instance(("topic a",) * D, 1.0, keywords=PROP_KW)]]
+        for alpha in (None, 0.5):
+            pr, stopped = pr_ter_ids_batch(sets, [], [], 2.5, alpha)
+            assert len(pr) == len(stopped) == 0
