@@ -4,10 +4,12 @@ Per micro-batch, each missing attribute ``A_j`` of an incomplete tuple is
 imputed from the repository R through the two offline indexes:
 1. the **CDD-index** (``index/cdd_index.py``) gives the rules whose
    dependent attribute is ``A_j`` — the paper's "obtain suitable CDD rules";
-2. the **DR-index** (``index/dr_index.py``) token postings of each rule's
-   first determinant give the candidate samples ``s in R`` (a sample within
-   Jaccard distance ``hi < 1`` shares a token with the probe value); the
-   exact determinant constraints then remove the false positives;
+2. the **DR-index** (``index/dr_index.py``) prefix probe of each rule's
+   first determinant gives the candidate samples ``s in R``: a sample within
+   Jaccard distance ``hi < 1`` of ``x = r[x1]`` shares a token with any
+   ``|x| - ceil((1 - hi)|x|) + 1`` tokens of ``x``, so the postings of that
+   many of the rarest suffice (``DRIndex.probe``); the exact determinant
+   constraints then remove the false positives;
 3. the DR-index ``dom_pairs`` lookup on the sample's dependent value gives
    the Section-3 candidate set ``cand(s[A_j])`` of domain values within
    ``A_j.I``.
@@ -82,8 +84,11 @@ def retrieve_samples(
     indexed: bool,
 ) -> list[Sample]:
     """Which repository samples each rule suggests for each missing
-    attribute ``(rid, j)`` in ``need``. The postings probe vs the scan of
-    all of R is the TER-iDS vs CDD+ER distinction."""
+    attribute ``(rid, j)`` in ``need``. The DR-index prefix probe of
+    ``r[x1]`` vs the scan of all of R is the TER-iDS vs CDD+ER
+    distinction. Both check the same candidates' exact constraints row by
+    row in ascending order, and the probe misses no sample, so both return
+    the same list, order included."""
     bt = {
         int(row[0]): [frozenset() if _missing(v) else tokens(v) for v in row[1:]]
         for row in batch[["rid"] + ATTR_COLS].itertuples(index=False, name=None)
@@ -98,12 +103,7 @@ def retrieve_samples(
             # "attributes in X_i are non-missing").
             if not t1 or (rule.x2 is not None and not r[rule.x2]):
                 continue
-            if indexed:
-                # A sample within distance hi1 < 1 of r[x1] shares a token
-                # with it, so the postings union has no false negatives.
-                rows = sorted({i for t in t1 for i in dr.postings.get((rule.x1, t), ())})
-            else:
-                rows = every_row
+            rows = dr.probe(rule.x1, t1, rule.hi1) if indexed else every_row
             for i in rows:
                 s = dr.toks[i]
                 if not rule.lo1 <= jaccard_dist(t1, s[rule.x1]) <= rule.hi1:

@@ -5,11 +5,13 @@ Python structures on the driver, built once in the offline phase:
 
 - the repository itself, its values and their token sets, row by row;
 - the **token postings** ``(attr, tok) -> rows``. The imputation probe for
-  an interval constraint ``dist(r[A_x], s[A_x]) in [lo, hi]`` reads them:
-  any sample within Jaccard distance ``hi < 1`` of ``r[A_x]`` shares a token
-  with it, so the union of the probe value's postings is a complete
-  candidate superset, and the exact constraints remove the false positives
-  (DESIGN.md §2.3);
+  an interval constraint ``dist(r[A_x], s[A_x]) in [lo, hi]`` reads them
+  (:meth:`DRIndex.probe`): a sample within Jaccard distance ``hi < 1`` of
+  ``x = r[A_x]`` shares at least ``ceil((1 - hi)|x|)`` tokens with it, so it
+  shares one with any ``|x| - ceil((1 - hi)|x|) + 1`` tokens of ``x``
+  (prefix filtering). The probe reads the postings of that many of the
+  rarest tokens only; their union is a complete candidate superset, and the
+  exact constraints remove the false positives (DESIGN.md §2.3);
 - the per-attribute value **domains** with their token sets (the
   straightforward baselines scan them);
 - ``dom_pairs`` ``(attr, u) -> [(v, dist)]``: the value pairs within the
@@ -25,7 +27,9 @@ a full domain scan finds (streambench/README.md, "Known divergence").
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import pandas as pd
@@ -33,6 +37,10 @@ import pandas as pd
 from repro.core.pivot import AttributePivots
 from repro.core.similarity import jaccard_dist, tokens
 from repro.streams.stream_gen import ATTR_COLS, D
+
+#: Subtracted from the minimum overlap ``(1 - hi)|x|`` before it is rounded
+#: up, far above float error and far below the gap of 1 between integers.
+_OVERLAP_SLACK = 1e-9
 
 
 @dataclass
@@ -55,6 +63,28 @@ class DRIndex:
     @property
     def n_samples(self) -> int:
         return len(self.sids)
+
+    def probe(self, attr: int, x: frozenset[str], hi: float) -> Sequence[int]:
+        """The rows, ascending, that can hold ``s`` with
+        ``dist(x, s[attr]) <= hi``: a superset of them, never missing one.
+
+        ``J(x, s) >= t = 1 - hi`` implies ``|x & s| >= t|x|``, as
+        ``|x | s| >= |x|``. So for ``hi < 1`` such an ``s`` shares a token
+        with any ``|x| - ceil(t|x|) + 1`` tokens of ``x`` (pigeonhole), and
+        the union of those tokens' postings holds it. The rarest tokens are
+        read: the fewest postings for ``attr`` in R, tokens absent from R
+        first. The slack before the ceiling can only lengthen the prefix, so
+        float error in ``t|x|`` never drops a row: ``t = 1 - 0.7`` gives
+        ``10t = 3.0000000000000004``, which a plain ceiling takes to 4, not
+        3. At ``hi >= 1`` a sample sharing no token qualifies, so every row
+        is returned."""
+        if hi >= 1.0:
+            return range(self.n_samples)
+        overlap = max(1, math.ceil((1.0 - hi) * len(x) - _OVERLAP_SLACK))
+        post = self.postings
+        rarest = sorted(x, key=lambda t: (len(post.get((attr, t), ())), t))
+        return sorted({i for t in rarest[: len(x) - overlap + 1]
+                       for i in post.get((attr, t), ())})
 
 
 def _dom_pairs(

@@ -98,7 +98,8 @@ def _staged_prune(
 ) -> tuple[np.ndarray, PruneStats]:
     """Thm 4.1 -> Lemmas 4.1/4.2 -> Lemma 4.3 over the index pairs
     ``(x[i], y[j])`` of two aggregate column maps; Lemmas 4.2 and 4.3 run
-    only when ``fused``.
+    only when ``fused``. Each stage is evaluated only on the pairs that
+    survived the stages before it.
 
     ``weight`` is the number of tuple pairs each index pair stands for (the
     eligible members of a cell); by default each counts once. A weighted
@@ -109,33 +110,39 @@ def _staged_prune(
         return sum(side[f"{name}{k}"][idx] for k in range(D))
 
     w = np.ones(len(i), dtype=np.int64) if weight is None else weight
-    surv = ~PR.topic_keyword_prune(x["kw_mask"][i] != 0, y["kw_mask"][j] != 0)
-    ts_ub = sum(
-        PR.ub_sim_token_size(x[f"tmin{k}"][i], x[f"tmax{k}"][i],
-                             y[f"tmin{k}"][j], y[f"tmax{k}"][j])
+    st = PruneStats(total=int(w.sum()))
+    live = np.flatnonzero(
+        ~PR.topic_keyword_prune(x["kw_mask"][i] != 0, y["kw_mask"][j] != 0))
+    st.pruned_topic = st.total - int(w[live].sum())
+
+    a, b = i[live], j[live]
+    sim_ok = sum(
+        PR.ub_sim_token_size(x[f"tmin{k}"][a], x[f"tmax{k}"][a],
+                             y[f"tmin{k}"][b], y[f"tmax{k}"][b])
         for k in range(D)
-    )
-    sim_ok = ts_ub > gamma
+    ) > gamma
     if fused:
         piv_ub = float(d) - sum(
-            PR.ub_sim_pivot(x[f"lb{k}"][i], x[f"ub{k}"][i],
-                            y[f"lb{k}"][j], y[f"ub{k}"][j])
+            PR.ub_sim_pivot(x[f"lb{k}"][a], x[f"ub{k}"][a],
+                            y[f"lb{k}"][b], y[f"ub{k}"][b])
             for k in range(D)
         )
         sim_ok &= piv_ub > gamma
-    st = PruneStats(total=int(w.sum()), pruned_topic=int(w[~surv].sum()),
-                    pruned_sim=int(w[surv & ~sim_ok].sum()))
-    surv &= sim_ok
+    st.pruned_sim = int(w[live[~sim_ok]].sum())
+    live = live[sim_ok]
+
     if fused and weight is None:
-        prob_ub = PR.ub_prob_paley_zygmund(
+        a, b = i[live], j[live]
+        prob_ok = PR.ub_prob_paley_zygmund(
             d, gamma,
-            summed(x, i, "e"), summed(y, j, "e"),
-            summed(x, i, "lb"), summed(x, i, "ub"),
-            summed(y, j, "lb"), summed(y, j, "ub"),
-        )
-        prob_ok = prob_ub > alpha
-        st.pruned_prob = int(w[surv & ~prob_ok].sum())
-        surv &= prob_ok
+            summed(x, a, "e"), summed(y, b, "e"),
+            summed(x, a, "lb"), summed(x, a, "ub"),
+            summed(y, b, "lb"), summed(y, b, "ub"),
+        ) > alpha
+        st.pruned_prob = int((~prob_ok).sum())
+        live = live[prob_ok]
+    surv = np.zeros(len(i), dtype=bool)
+    surv[live] = True
     return surv, st
 
 

@@ -257,9 +257,10 @@ def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTupl
 def warmup(spark, ds: Dataset, cfg: TERConfig, prep: Prepared) -> TERState:
     """Process the window-fill batch (step 0) into a reusable TERState.
 
-    Unmeasured; imputation always retrieves samples through the DR-index,
-    whatever the method: the postings probe is exactly equivalent to a scan
-    of all of R (asserted by tests), so this only bounds setup cost.
+    Unmeasured; imputation always retrieves samples through the DR-index's
+    prefix probe, whatever the method: it returns exactly what a scan of all
+    of R returns, in the same order (asserted by tests), so this only
+    bounds setup cost.
 
     ``spark`` is unread; it stays until the benchmark change of ROADMAP item 5."""
     state = TERState()

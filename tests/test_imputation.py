@@ -1,14 +1,18 @@
 """Imputation kernel tests (Section 3, on the driver).
 
-Key invariant: the DR-index token-postings probe must return exactly the same
-samples as the straightforward scan of all of R (the index introduces no
-false negatives) — this is the correctness contract of the index probe.
+Key invariant: the DR-index prefix probe must return exactly the same
+samples, in the same order, as the straightforward scan of all of R (the
+index introduces no false negatives) — this is the correctness contract of
+the index probe.
 """
 import random
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cdd_detect import _EPS_GRID
 from repro.core.imputation import (
     candidate_frequencies,
     impute_batch,
@@ -16,9 +20,11 @@ from repro.core.imputation import (
     retrieve_samples,
 )
 from repro.core.similarity import jaccard_dist, tokens
-from repro.index.cdd_index import CDDIndex
+from repro.index.cdd_index import CDDIndex, RuleRow
+from repro.index.dr_index import build_dr_index
 from repro.oracle import assert_equivalent
-from repro.streams.stream_gen import ATTR_COLS
+from repro.streams.stream_gen import ATTR_COLS, D
+from repro.ter.algorithm import prepare
 from tests.spark_reference import job_mark
 
 
@@ -54,13 +60,96 @@ def _dom_pairs_frame(dr) -> pd.DataFrame:
     )
 
 
+def _frame(rows: list[list[str | None]], id_col: str) -> pd.DataFrame:
+    """Rows of D attribute values as a repository (``sid``) or batch
+    (``rid``) frame."""
+    return pd.DataFrame({id_col: range(len(rows)),
+                         **{c: [r[k] for r in rows] for k, c in enumerate(ATTR_COLS)}})
+
+
+def _rule(hi1: float, *, lo1: float = 0.0, x2: int | None = None,
+          hi2: float = 0.5) -> CDDIndex:
+    """One rule ``A_1 (, A_x2) -> A_0`` in a CDD-index of its own."""
+    return CDDIndex({0: [RuleRow(0, 0, 1, lo1, hi1, x2,
+                                 None if x2 is None else 0.0,
+                                 None if x2 is None else hi2, 0.0, 0.5)]})
+
+
 class TestRetrieveSamples:
     def test_indexed_equals_unindexed(self, batch, need, prepared_ter, samples):
-        """Postings-probe samples == samples from a scan of all of R, exactly."""
+        """Prefix-probe samples == samples from a scan of all of R, exactly,
+        in the same order."""
         p = prepared_ter
         full = retrieve_samples(batch, need, p.dr, p.cddx, indexed=False)
         assert samples
-        assert sorted(samples) == sorted(full)
+        assert samples == full
+
+    @pytest.mark.parametrize("method", ["dd_er", "er_er"])
+    def test_indexed_equals_unindexed_other_rule_sets(
+        self, batch, need, small_ds, small_cfg, prepared_ter, method
+    ):
+        """The same for the DD and editing-rule sets."""
+        p = prepared_ter
+        cddx = prepare(None, small_ds, small_cfg, method, pivots=p.pivots, dr=p.dr).cddx
+        got = retrieve_samples(batch, need, p.dr, cddx, indexed=True)
+        assert got
+        assert got == retrieve_samples(batch, need, p.dr, cddx, indexed=False)
+
+    def test_prefix_length_is_float_safe(self):
+        """``hi1 = 0.7`` and ``|x| = 10`` need an overlap of 3, so the probe
+        reads the 8 rarest tokens. ``10 * (1 - 0.7)`` is 3.0000000000000004
+        in floats; rounding that up would read only 7 and miss sample 0,
+        which shares with ``x`` just its 3 least rare tokens."""
+        dr = build_dr_index(None, _frame([
+            ["s", "a b c", "s", "s", "s"],        # J = 3/10: distance 0.7
+            ["s", "a b c k", "s", "s", "s"],      # J = 3/11: too far
+        ], "sid"), {})
+        x = "a b c d e f g h i j"                 # d..j are absent from R
+        rows = _frame([[None, x, "s", "s", "s"]], "rid")
+        cddx = _rule(0.7)
+        got = retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=True)
+        assert [s.sid for s in got] == [0]
+        assert got == retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=False)
+
+    def test_rule_reaching_distance_one_scans_every_row(self):
+        """At ``hi1 >= 1`` a sample sharing no token with ``r[x1]``
+        qualifies, so no postings probe can find it: every row is read."""
+        dr = build_dr_index(None, _frame([
+            ["u", "a b", "s", "s", "s"],
+            ["v", "c", "s", "s", "s"],
+        ], "sid"), {})
+        rows = _frame([[None, "zz", "s", "s", "s"]], "rid")
+        for hi1 in (1.0, 1.5):
+            cddx = _rule(hi1)
+            got = retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=True)
+            assert [s.sid for s in got] == [0, 1]
+            assert got == retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        repo=st.lists(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4),
+                               min_size=D, max_size=D), min_size=1, max_size=10),
+        probes=st.lists(st.lists(st.frozensets(st.sampled_from("abcdefxy"), max_size=5),
+                                 min_size=D, max_size=D), min_size=1, max_size=3),
+        hi1=st.sampled_from([0.0, *map(float, _EPS_GRID)]),
+        band=st.booleans(),
+        x2=st.sampled_from([None, 2]),
+        hi2=st.sampled_from([0.0, 0.5, 0.8]),
+    )
+    def test_probe_equals_scan_property(self, repo, probes, hi1, band, x2, hi2):
+        """Random token sets, empty ones and tokens absent from R (x, y)
+        included, at every detected ``hi1``, with band rules (``lo1 > 0``)
+        and with and without a second determinant: the indexed list is the
+        scan list, order included."""
+        def value(ts):
+            return " ".join(sorted(ts))
+
+        dr = build_dr_index(None, _frame([[value(t) for t in r] for r in repo], "sid"), {})
+        rows = _frame([[None, *map(value, r[1:])] for r in probes], "rid")
+        need = [(rid, 0) for rid in range(len(probes))]
+        cddx = _rule(hi1, lo1=hi1 / 2 if band else 0.0, x2=x2, hi2=hi2)
+        got = retrieve_samples(rows, need, dr, cddx, indexed=True)
+        assert got == retrieve_samples(rows, need, dr, cddx, indexed=False)
 
     def test_samples_satisfy_constraints(self, batch, prepared_ter, samples):
         """Every retrieved (tuple, rule, sample) satisfies the rule's
