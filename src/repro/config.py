@@ -49,7 +49,6 @@ class TERConfig:
     # ~9.5% and pair-level topic pruning at ~82% — the paper's Fig.-4 regime
     # (77.5%-86.5%).
     n_topic_keywords: int = 10
-    grid_cells_per_dim: int = 5     # ER-grid cells per attribute
     pivot_buckets: int = 10         # P in Eq. (5) entropy
     pivot_emin: float = 1.5         # eMin in Appendix B
     pivot_cnt_max: int = 3          # cntMax in Appendix B

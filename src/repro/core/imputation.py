@@ -48,6 +48,9 @@ from repro.streams.stream_gen import ATTR_COLS, D
 #: Columns of the candidate-frequency table.
 FREQ_COLS = ["rid", "j", "v", "count"]
 
+#: Candidate values kept per missing attribute, most frequent first.
+TOP_PER_ATTR = 8
+
 
 @dataclass
 class ImputeStats:
@@ -162,7 +165,6 @@ def assemble_instances(
     keywords: list[str],
     pivots: dict[int, AttributePivots],
     max_instances: int = 8,
-    top_per_attr: int = 8,
 ) -> list[ImputedTuple]:
     """Eq. (3)/(4) normalization + instance cross product + aggregates.
 
@@ -189,7 +191,7 @@ def assemble_instances(
                 if not freqs:
                     per_attr.append([(None, 1.0)])
                     continue
-                top = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))[:top_per_attr]
+                top = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_PER_ATTR]
                 tot = sum(f for _, f in top)
                 per_attr.append([(v, f / tot) for v, f in top])
             cands = [(tuple(base), 1.0)]

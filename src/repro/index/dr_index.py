@@ -10,8 +10,10 @@ Python structures on the driver, built once in the offline phase:
   ``x = r[A_x]`` shares at least ``ceil((1 - hi)|x|)`` tokens with it, so it
   shares one with any ``|x| - ceil((1 - hi)|x|) + 1`` tokens of ``x``
   (prefix filtering). The probe reads the postings of that many of the
-  rarest tokens only; their union is a complete candidate superset, and the
-  exact constraints remove the false positives (DESIGN.md §2.3);
+  rarest tokens only, and keeps the rows whose token-set size lies within
+  ``[(1 - hi)|x|, |x| / (1 - hi)]`` (size filtering); the result is a
+  complete candidate superset, and the exact constraints remove the false
+  positives (DESIGN.md §2.3);
 - the per-attribute value **domains** with their token sets (the
   straightforward baselines scan them);
 - ``dom_pairs`` ``(attr, u) -> [(v, dist)]``: the value pairs within the
@@ -38,8 +40,10 @@ from repro.core.pivot import AttributePivots
 from repro.core.similarity import jaccard_dist, tokens
 from repro.streams.stream_gen import ATTR_COLS, D
 
-#: Subtracted from the minimum overlap ``(1 - hi)|x|`` before it is rounded
-#: up, far above float error and far below the gap of 1 between integers.
+#: Subtracted from the minimum overlap and size ``(1 - hi)|x|`` before they
+#: are rounded up, and added to the maximum size ``|x| / (1 - hi)`` before it
+#: is rounded down: far above float error and far below the gap of 1 between
+#: integers.
 _OVERLAP_SLACK = 1e-9
 
 
@@ -56,6 +60,7 @@ class DRIndex:
     sids: list[int]                               # row -> sample id
     values: list[tuple[str, ...]]                 # row -> attribute values
     toks: list[tuple[frozenset[str], ...]]        # row -> token sets
+    sizes: list[list[int]]                        # attr -> row -> token-set size
     postings: dict[tuple[int, str], list[int]]    # (attr, tok) -> rows
     domains: dict[int, dict[str, frozenset[str]]]     # attr -> value -> tokens
     dom_pairs: dict[tuple[int, str], list[tuple[str, float]]]  # (attr, u) -> [(v, dist)]
@@ -73,18 +78,24 @@ class DRIndex:
         with any ``|x| - ceil(t|x|) + 1`` tokens of ``x`` (pigeonhole), and
         the union of those tokens' postings holds it. The rarest tokens are
         read: the fewest postings for ``attr`` in R, tokens absent from R
-        first. The slack before the ceiling can only lengthen the prefix, so
-        float error in ``t|x|`` never drops a row: ``t = 1 - 0.7`` gives
-        ``10t = 3.0000000000000004``, which a plain ceiling takes to 4, not
-        3. At ``hi >= 1`` a sample sharing no token qualifies, so every row
-        is returned."""
+        first. As ``|x & s| <= min(|x|, |s|)`` and ``|x | s| >=
+        max(|x|, |s|)``, it also has ``t|x| <= |s| <= |x|/t``, and a row
+        outside that size range is dropped before any set operation. The
+        slack can only lengthen the prefix and widen the size range, so
+        float error never drops a row: ``t = 1 - 0.7`` gives ``10t =
+        3.0000000000000004``, which a plain ceiling takes to 4, not 3, and
+        ``3/t = 9.999999999999998``, which a plain floor takes to 9, not 10.
+        At ``hi >= 1`` a sample sharing no token qualifies, so every row is
+        returned."""
         if hi >= 1.0:
             return range(self.n_samples)
-        overlap = max(1, math.ceil((1.0 - hi) * len(x) - _OVERLAP_SLACK))
-        post = self.postings
-        rarest = sorted(x, key=lambda t: (len(post.get((attr, t), ())), t))
-        return sorted({i for t in rarest[: len(x) - overlap + 1]
-                       for i in post.get((attr, t), ())})
+        t = 1.0 - hi
+        lo = math.ceil(t * len(x) - _OVERLAP_SLACK)
+        up = math.floor(len(x) / t + _OVERLAP_SLACK)
+        post, size = self.postings, self.sizes[attr]
+        rarest = sorted(x, key=lambda tok: (len(post.get((attr, tok), ())), tok))
+        return sorted({i for tok in rarest[: len(x) - max(1, lo) + 1]
+                       for i in post.get((attr, tok), ()) if lo <= size[i] <= up})
 
 
 def _dom_pairs(
@@ -150,6 +161,8 @@ def build_dr_index(
         for u, lst in _dom_pairs(dom, df_cap, max_dep_hi).items()
     }
     return DRIndex(
-        sids=sids, values=values, toks=toks, postings=dict(postings),
+        sids=sids, values=values, toks=toks,
+        sizes=[[len(row[k]) for row in toks] for k in range(D)],
+        postings=dict(postings),
         domains=domains, dom_pairs=dom_pairs,
     )

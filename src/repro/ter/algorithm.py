@@ -36,12 +36,7 @@ from repro.core.pivot import select_all_pivots
 from repro.core.probability import pr_ter_ids_batch, pr_ter_ids_detail  # noqa: F401
 from repro.index.cdd_index import build_cdd_index
 from repro.index.dr_index import build_dr_index
-from repro.index.er_grid import (
-    PruneStats,
-    cell_codes,
-    generate_candidates,
-    newnew_candidates,
-)
+from repro.index.er_grid import PruneStats, generate_candidates, newnew_candidates
 from repro.streams.stream_gen import ATTR_COLS, Dataset
 from repro.streams.window import WindowBatch, sliding_batches
 # instances_frame is not called here; the streambench probe patches this name.
@@ -97,8 +92,7 @@ class TERState:
 
     ``tuples`` maps rid to the window's imputed tuples (the instance sets
     that refinement and exact ER read). ``aggs`` holds one row per window
-    tuple as numpy columns: ``aggregates_frame``'s columns plus ``cell``,
-    the tuple's ER-grid cell code, computed once at insert. ``values``
+    tuple in ``aggregates_frame``'s numpy columns. ``values``
     holds the window rows' raw attribute values (``rid`` plus
     ``ATTR_COLS``; ``con_er``'s window mode reads the complete ones). Insert
     appends rows and expiry masks them out; both build new arrays and never
@@ -106,8 +100,7 @@ class TERState:
     """
 
     tuples: dict[int, ImputedTuple] = field(default_factory=dict)
-    aggs: dict[str, np.ndarray] = field(default_factory=lambda: {
-        **aggregates_frame([]), "cell": np.zeros(0, dtype=np.int64)})
+    aggs: dict[str, np.ndarray] = field(default_factory=lambda: aggregates_frame([]))
     values: dict[str, np.ndarray] = field(default_factory=lambda: {
         "rid": np.zeros(0, dtype=np.int64), **{c: np.zeros(0, dtype=object) for c in ATTR_COLS}})
 
@@ -248,9 +241,9 @@ def _expire(state: TERState, expired_rids: list[int]) -> None:
 
 
 def _insert(state: TERState, arrived: pd.DataFrame, new_tuples: list[ImputedTuple],
-            new_aggs: dict, cells_per_dim: int) -> None:
+            new_aggs: dict) -> None:
     state.tuples.update({t.rid: t for t in new_tuples})
-    state.aggs = _append(state.aggs, {**new_aggs, "cell": cell_codes(new_aggs, cells_per_dim)})
+    state.aggs = _append(state.aggs, new_aggs)
     state.values = _append(state.values, {c: arrived[c].to_numpy() for c in state.values})
 
 
@@ -276,8 +269,7 @@ def _fill(cfg: TERConfig, prep: Prepared, wb: WindowBatch) -> TERState:
     tuples of a stream that filled before the other (``wb.expired_rids``)."""
     state = TERState()
     new_tuples, _ = _impute(wb.arrived, prep, cfg, state, indexed=True)
-    _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples),
-            cfg.grid_cells_per_dim)
+    _insert(state, wb.arrived, new_tuples, aggregates_frame(new_tuples))
     _expire(state, wb.expired_rids)
     return state
 
@@ -358,4 +350,4 @@ def _run_measured_batch(
         res.prune.refined += total
     res.t_er += time.perf_counter() - t0
 
-    _insert(state, wb.arrived, new_tuples, new_aggs, cfg.grid_cells_per_dim)
+    _insert(state, wb.arrived, new_tuples, new_aggs)

@@ -111,6 +111,21 @@ class TestRetrieveSamples:
         assert [s.sid for s in got] == [0]
         assert got == retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=False)
 
+    def test_size_filter_is_float_safe(self):
+        """At ``hi1 = 0.7`` a sample of 10 tokens holding all 3 of ``x`` is
+        at distance exactly 0.7, and ``|x| / (1 - 0.7)`` is
+        9.999999999999998 in floats; rounding that down would drop sample 0
+        by its size. Sample 1, of 11 tokens, is too far."""
+        dr = build_dr_index(None, _frame([
+            ["s", "a b c d e f g h i j", "s", "s", "s"],
+            ["s", "a b c d e f g h i j k", "s", "s", "s"],
+        ], "sid"), {})
+        rows = _frame([[None, "a b c", "s", "s", "s"]], "rid")
+        cddx = _rule(0.7)
+        got = retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=True)
+        assert [s.sid for s in got] == [0]
+        assert got == retrieve_samples(rows, [(0, 0)], dr, cddx, indexed=False)
+
     def test_rule_reaching_distance_one_scans_every_row(self):
         """At ``hi1 >= 1`` a sample sharing no token with ``r[x1]``
         qualifies, so no postings probe can find it: every row is read."""
